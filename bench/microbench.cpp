@@ -5,7 +5,9 @@
 ///        expected-surface evaluation, O(|V| + |E|) critical path.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "benchgen/gf2_mult.h"
@@ -14,6 +16,7 @@
 #include "core/leqa.h"
 #include "fabric/params.h"
 #include "iig/iig.h"
+#include "parser/io.h"
 #include "parser/qasm.h"
 #include "pipeline/pipeline.h"
 #include "qodg/qodg.h"
@@ -120,17 +123,6 @@ void BM_QsprMap(benchmark::State& state) {
 }
 BENCHMARK(BM_QsprMap)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
-void BM_QasmParse(benchmark::State& state) {
-    const auto circ = ft_mult(16);
-    const std::string text = parser::write_qasm(circ);
-    for (auto _ : state) {
-        const auto parsed = parser::parse_qasm(text);
-        benchmark::DoNotOptimize(parsed.size());
-    }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_QasmParse);
 
 // The pipeline-cache win the facade exists for: a fabric sweep re-estimates
 // the same circuit at many parameter points.  Cold rebuilds the session
@@ -340,17 +332,63 @@ BENCHMARK_DEFINE_F(ParameterAxisFixture, BM_ParameterAxisBatched)
 BENCHMARK_REGISTER_F(ParameterAxisFixture, BM_ParameterAxisBatched)
     ->Unit(benchmark::kMillisecond);
 
-void BM_FtSynthesis(benchmark::State& state) {
-    benchgen::Gf2MultSpec spec;
-    spec.n = static_cast<int>(state.range(0));
-    spec.form = benchgen::Gf2PolyForm::Auto;
-    const auto circ = benchgen::gf2_mult(spec);
+/// Front-end inputs for a gf2^n multiplier, n = state.range(0): the
+/// pre-FT circuit, its FT netlist as native QASM text, and that text on
+/// disk.  Rates are FT ops per second, so sizes compare directly.
+class FrontEndFixture : public benchmark::Fixture {
+public:
+    void SetUp(const benchmark::State& state) override {
+        benchgen::Gf2MultSpec spec;
+        spec.n = static_cast<int>(state.range(0));
+        spec.form = benchgen::Gf2PolyForm::Auto;
+        pre = benchgen::gf2_mult(spec);
+        ft_ops = synth::predicted_ft_ops(pre);
+        ft_text = parser::write_qasm(synth::ft_synthesize(pre).circuit);
+        path = (std::filesystem::temp_directory_path() /
+                ("leqa_microbench_gf2_" + std::to_string(spec.n) + ".ft.qasm"))
+                   .string();
+        parser::write_file(path, ft_text);
+    }
+
+    void TearDown(const benchmark::State&) override { std::filesystem::remove(path); }
+
+    void count_ft_ops(benchmark::State& state) const {
+        state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                                static_cast<std::int64_t>(ft_ops));
+    }
+
+    circuit::Circuit pre;
+    std::size_t ft_ops = 0;
+    std::string ft_text;
+    std::string path;
+};
+
+BENCHMARK_DEFINE_F(FrontEndFixture, BM_ParseQasm)(benchmark::State& state) {
     for (auto _ : state) {
-        const auto result = synth::ft_synthesize(circ);
+        const auto parsed = parser::parse_qasm(ft_text);
+        benchmark::DoNotOptimize(parsed.size());
+    }
+    count_ft_ops(state);
+}
+BENCHMARK_REGISTER_F(FrontEndFixture, BM_ParseQasm)->Arg(16)->Arg(64)->Arg(128);
+
+BENCHMARK_DEFINE_F(FrontEndFixture, BM_FtSynthesize)(benchmark::State& state) {
+    for (auto _ : state) {
+        const auto result = synth::ft_synthesize(pre);
         benchmark::DoNotOptimize(result.circuit.size());
     }
+    count_ft_ops(state);
 }
-BENCHMARK(BM_FtSynthesis)->Arg(16)->Arg(32);
+BENCHMARK_REGISTER_F(FrontEndFixture, BM_FtSynthesize)->Arg(16)->Arg(64)->Arg(128);
+
+BENCHMARK_DEFINE_F(FrontEndFixture, BM_LoadNetlist)(benchmark::State& state) {
+    for (auto _ : state) {
+        const auto loaded = parser::load_netlist(path);
+        benchmark::DoNotOptimize(loaded.size());
+    }
+    count_ft_ops(state);
+}
+BENCHMARK_REGISTER_F(FrontEndFixture, BM_LoadNetlist)->Arg(16)->Arg(64)->Arg(128);
 
 } // namespace
 

@@ -43,7 +43,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     FUZZ_REQUIRE(again.size() == circ.size(),
                  "openqasm round trip changed the gate count");
     for (std::size_t i = 0; i < circ.size(); ++i) {
-        FUZZ_REQUIRE(again.gate(i).kind == circ.gate(i).kind,
+        FUZZ_REQUIRE(again.gate(i).kind() == circ.gate(i).kind(),
                      "openqasm round trip changed a gate kind");
     }
     return 0;

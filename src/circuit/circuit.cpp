@@ -39,15 +39,15 @@ std::string GateCounts::to_string() const {
 }
 
 Circuit::Circuit(std::size_t num_qubits, std::string name) : name_(std::move(name)) {
+    reserve(0, num_qubits);
     for (std::size_t i = 0; i < num_qubits; ++i) add_qubit();
 }
 
-Qubit Circuit::add_qubit(const std::string& name) {
+Qubit Circuit::add_qubit(std::string_view name) {
     const auto index = static_cast<Qubit>(qubit_names_.size());
-    std::string resolved = name.empty() ? "q" + std::to_string(index) : name;
-    LEQA_REQUIRE(qubit_lookup_.find(resolved) == qubit_lookup_.end(),
+    std::string resolved = name.empty() ? "q" + std::to_string(index) : std::string(name);
+    LEQA_REQUIRE(qubit_lookup_.try_emplace(resolved, index).second,
                  "duplicate qubit name: " + resolved);
-    qubit_lookup_.emplace(resolved, index);
     qubit_names_.push_back(std::move(resolved));
     return index;
 }
@@ -57,19 +57,27 @@ const std::string& Circuit::qubit_name(Qubit q) const {
     return qubit_names_[q];
 }
 
-Qubit Circuit::qubit_index(const std::string& name) const {
+std::optional<Qubit> Circuit::find_qubit(std::string_view name) const {
     const auto it = qubit_lookup_.find(name);
-    LEQA_REQUIRE(it != qubit_lookup_.end(), "unknown qubit name: " + name);
+    if (it == qubit_lookup_.end()) return std::nullopt;
     return it->second;
 }
 
-bool Circuit::has_qubit(const std::string& name) const {
-    return qubit_lookup_.find(name) != qubit_lookup_.end();
+Qubit Circuit::qubit_index(std::string_view name) const {
+    const auto q = find_qubit(name);
+    LEQA_REQUIRE(q.has_value(), "unknown qubit name: " + std::string(name));
+    return *q;
 }
 
 void Circuit::add_gate(Gate gate) {
     gate.validate_against(num_qubits());
     gates_.push_back(std::move(gate));
+}
+
+void Circuit::reserve(std::size_t num_gates, std::size_t num_qubits) {
+    gates_.reserve(num_gates);
+    qubit_names_.reserve(num_qubits);
+    qubit_lookup_.reserve(num_qubits);
 }
 
 Circuit& Circuit::x(Qubit q) { add_gate(make_x(q)); return *this; }
@@ -91,8 +99,8 @@ Circuit& Circuit::toffoli(Qubit c0, Qubit c1, Qubit target) {
     return *this;
 }
 
-Circuit& Circuit::mcx(std::vector<Qubit> controls, Qubit target) {
-    add_gate(make_mcx(std::move(controls), target));
+Circuit& Circuit::mcx(std::span<const Qubit> controls, Qubit target) {
+    add_gate(make_mcx(controls, target));
     return *this;
 }
 
@@ -115,7 +123,7 @@ void Circuit::append(const Circuit& other) {
 GateCounts Circuit::counts() const {
     GateCounts counts;
     for (const Gate& g : gates_) {
-        ++counts.by_kind[static_cast<std::size_t>(g.kind)];
+        ++counts.by_kind[static_cast<std::size_t>(g.kind())];
     }
     return counts;
 }
@@ -129,7 +137,7 @@ bool Circuit::is_ft() const {
 
 bool Circuit::is_classical() const {
     for (const Gate& g : gates_) {
-        if (!gate_info(g.kind).is_classical) return false;
+        if (!gate_info(g.kind()).is_classical) return false;
     }
     return true;
 }
@@ -137,8 +145,7 @@ bool Circuit::is_classical() const {
 std::vector<Qubit> Circuit::unused_qubits() const {
     std::vector<bool> used(num_qubits(), false);
     for (const Gate& g : gates_) {
-        for (const Qubit q : g.controls) used[q] = true;
-        for (const Qubit q : g.targets) used[q] = true;
+        for (const Qubit q : g.qubits()) used[q] = true;
     }
     std::vector<Qubit> out;
     for (Qubit q = 0; q < used.size(); ++q) {

@@ -4,8 +4,12 @@
 
 #include <array>
 #include <cstddef>
-#include <map>
+#include <functional>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "circuit/gate.h"
@@ -41,16 +45,20 @@ public:
 
     /// Append a new qubit; returns its index.  Auto-names "q<i>" when
     /// \p name is empty.  Throws on duplicate names.
-    Qubit add_qubit(const std::string& name = "");
+    Qubit add_qubit(std::string_view name = "");
 
     [[nodiscard]] const std::string& qubit_name(Qubit q) const;
+    /// Index of a named qubit, or nullopt: one hashed, allocation-free lookup.
+    [[nodiscard]] std::optional<Qubit> find_qubit(std::string_view name) const;
     /// Index of a named qubit; throws InputError if absent.
-    [[nodiscard]] Qubit qubit_index(const std::string& name) const;
-    [[nodiscard]] bool has_qubit(const std::string& name) const;
+    [[nodiscard]] Qubit qubit_index(std::string_view name) const;
 
     // --- gate management --------------------------------------------------
     /// Append a validated gate.  Throws InputError on invalid operands.
     void add_gate(Gate gate);
+
+    /// Reserve room for \p num_gates gates and \p num_qubits qubits in total.
+    void reserve(std::size_t num_gates, std::size_t num_qubits = 0);
 
     [[nodiscard]] const std::vector<Gate>& gates() const { return gates_; }
     [[nodiscard]] std::size_t size() const { return gates_.size(); }
@@ -68,7 +76,7 @@ public:
     Circuit& tdg(Qubit q);
     Circuit& cnot(Qubit control, Qubit target);
     Circuit& toffoli(Qubit c0, Qubit c1, Qubit target);
-    Circuit& mcx(std::vector<Qubit> controls, Qubit target);
+    Circuit& mcx(std::span<const Qubit> controls, Qubit target);
     Circuit& fredkin(Qubit control, Qubit a, Qubit b);
     Circuit& swap(Qubit a, Qubit b);
 
@@ -111,9 +119,17 @@ public:
     [[nodiscard]] std::string to_string() const;
 
 private:
+    /// Transparent hash so lookups take a string_view without a copy.
+    struct NameHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view name) const {
+            return std::hash<std::string_view>{}(name);
+        }
+    };
+
     std::string name_;
     std::vector<std::string> qubit_names_;
-    std::map<std::string, Qubit> qubit_lookup_;
+    std::unordered_map<std::string, Qubit, NameHash, std::equal_to<>> qubit_lookup_;
     std::vector<Gate> gates_;
     std::vector<std::string> comments_;
 };

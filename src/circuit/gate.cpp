@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace leqa::circuit {
 
@@ -33,58 +35,123 @@ const GateInfo& gate_info(GateKind kind) {
 
 std::string gate_name(GateKind kind) { return gate_info(kind).name; }
 
-GateKind parse_gate_name(const std::string& name) {
-    const std::string lowered = util::to_lower(name);
+std::optional<GateKind> find_gate_kind(std::string_view name) {
+    // Mnemonics are short: lower-case into a stack buffer, never the heap.
+    char lowered[8] = {};
+    if (name.empty() || name.size() > sizeof(lowered)) return std::nullopt;
+    for (std::size_t i = 0; i < name.size(); ++i) {
+        lowered[i] = static_cast<char>(std::tolower(static_cast<unsigned char>(name[i])));
+    }
+    const std::string_view key(lowered, name.size());
     for (std::size_t i = 0; i < kGateKindCount; ++i) {
-        if (lowered == kGateTable[i].name) return static_cast<GateKind>(i);
+        if (key == kGateTable[i].name) return static_cast<GateKind>(i);
     }
     // Accept common aliases.
-    if (lowered == "not") return GateKind::X;
-    if (lowered == "cx") return GateKind::Cnot;
-    if (lowered == "ccx" || lowered == "ccnot") return GateKind::Toffoli;
-    if (lowered == "cswap") return GateKind::Fredkin;
-    if (lowered == "t+" || lowered == "tdag") return GateKind::Tdg;
-    if (lowered == "s+" || lowered == "sdag") return GateKind::Sdg;
-    throw util::InputError("unknown gate mnemonic: " + name);
+    if (key == "not") return GateKind::X;
+    if (key == "cx") return GateKind::Cnot;
+    if (key == "ccx" || key == "ccnot") return GateKind::Toffoli;
+    if (key == "cswap") return GateKind::Fredkin;
+    if (key == "t+" || key == "tdag") return GateKind::Tdg;
+    if (key == "s+" || key == "sdag") return GateKind::Sdg;
+    return std::nullopt;
 }
 
-bool is_gate_name(const std::string& name) {
-    try {
-        (void)parse_gate_name(name);
-        return true;
-    } catch (const util::InputError&) {
-        return false;
+GateKind parse_gate_name(std::string_view name) {
+    const auto kind = find_gate_kind(name);
+    if (!kind) throw util::InputError("unknown gate mnemonic: " + std::string(name));
+    return *kind;
+}
+
+Gate::Gate(GateKind kind, std::span<const Qubit> controls, std::span<const Qubit> targets)
+    : kind_(kind) {
+    LEQA_REQUIRE(targets.size() <= std::numeric_limits<std::uint16_t>::max() &&
+                     controls.size() <= std::numeric_limits<std::uint32_t>::max(),
+                 std::string(gate_info(kind).name) + ": too many operands");
+    num_targets_ = static_cast<std::uint16_t>(targets.size());
+    num_controls_ = static_cast<std::uint32_t>(controls.size());
+    Qubit* out = inline_;
+    if (spilled()) {
+        spill_ = new Qubit[arity()];
+        out = spill_;
+    }
+    std::copy(controls.begin(), controls.end(), out);
+    std::copy(targets.begin(), targets.end(), out + controls.size());
+}
+
+Gate::Gate(const Gate& other)
+    : kind_(other.kind_), num_targets_(other.num_targets_), num_controls_(other.num_controls_) {
+    if (spilled()) {
+        spill_ = new Qubit[arity()];
+        std::copy_n(other.spill_, arity(), spill_);
+    } else {
+        std::copy_n(other.inline_, arity(), inline_);
     }
 }
 
-std::vector<Qubit> Gate::qubits() const {
-    std::vector<Qubit> out = controls;
-    out.insert(out.end(), targets.begin(), targets.end());
-    return out;
+Gate::Gate(Gate&& other) noexcept { take(other); }
+
+Gate& Gate::operator=(const Gate& other) {
+    if (this != &other) *this = Gate(other);
+    return *this;
 }
 
-bool Gate::is_ft() const {
-    if (!gate_info(kind).is_ft) return false;
-    // CNOT with exactly one control is FT; the enum cannot express a
-    // multi-controlled CNOT so the static table is sufficient, but keep the
-    // check defensive.
-    return true;
+Gate& Gate::operator=(Gate&& other) noexcept {
+    if (this != &other) {
+        if (spilled()) delete[] spill_;
+        take(other);
+    }
+    return *this;
+}
+
+void Gate::take(Gate& other) noexcept {
+    kind_ = other.kind_;
+    num_targets_ = other.num_targets_;
+    num_controls_ = other.num_controls_;
+    if (spilled()) {
+        spill_ = other.spill_;
+        other.num_controls_ = 0; // other keeps no operands and owns no buffer
+        other.num_targets_ = 0;
+    } else {
+        std::copy_n(other.inline_, arity(), inline_);
+    }
+}
+
+Gate::~Gate() {
+    if (spilled()) delete[] spill_;
+}
+
+bool Gate::operator==(const Gate& other) const {
+    const auto mine = qubits();
+    const auto theirs = other.qubits();
+    return kind_ == other.kind_ && num_controls_ == other.num_controls_ &&
+           num_targets_ == other.num_targets_ &&
+           std::equal(mine.begin(), mine.end(), theirs.begin());
 }
 
 void Gate::validate() const {
-    const GateInfo& info = gate_info(kind);
-    const auto n_controls = static_cast<int>(controls.size());
-    const auto n_targets = static_cast<int>(targets.size());
+    const GateInfo& info = gate_info(kind_);
+    const auto n_controls = static_cast<long long>(num_controls_);
+    const auto n_targets = static_cast<long long>(num_targets_);
     LEQA_REQUIRE(n_controls >= info.min_controls,
                  std::string(info.name) + ": too few controls");
     LEQA_REQUIRE(info.max_controls < 0 || n_controls <= info.max_controls,
                  std::string(info.name) + ": too many controls");
     LEQA_REQUIRE(n_targets == info.targets,
                  std::string(info.name) + ": wrong number of targets");
-    std::vector<Qubit> all = qubits();
-    std::sort(all.begin(), all.end());
-    LEQA_REQUIRE(std::adjacent_find(all.begin(), all.end()) == all.end(),
-                 std::string(info.name) + ": duplicate qubit operand");
+    // Pairwise below the cutoff (every FT gate); sort a copy above it.
+    constexpr std::size_t kPairwiseCutoff = 16;
+    const auto all = qubits();
+    bool duplicate = false;
+    if (all.size() <= kPairwiseCutoff) {
+        for (std::size_t i = 1; i < all.size() && !duplicate; ++i) {
+            for (std::size_t j = 0; j < i; ++j) duplicate = duplicate || all[i] == all[j];
+        }
+    } else {
+        std::vector<Qubit> sorted(all.begin(), all.end());
+        std::sort(sorted.begin(), sorted.end());
+        duplicate = std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+    }
+    LEQA_REQUIRE(!duplicate, std::string(info.name) + ": duplicate qubit operand");
 }
 
 void Gate::validate_against(std::size_t num_qubits) const {
@@ -98,15 +165,15 @@ void Gate::validate_against(std::size_t num_qubits) const {
 
 std::string Gate::to_string() const {
     std::ostringstream out;
-    out << gate_name(kind);
+    out << gate_name(kind_);
     bool first = true;
-    for (const Qubit q : controls) {
+    for (const Qubit q : controls()) {
         out << (first ? " q" : ", q") << q;
         first = false;
     }
-    if (!controls.empty()) out << " ->";
+    if (num_controls_ > 0) out << " ->";
     first = true;
-    for (const Qubit q : targets) {
+    for (const Qubit q : targets()) {
         out << (first ? " q" : ", q") << q;
         first = false;
     }
@@ -130,17 +197,18 @@ Gate make_toffoli(Qubit c0, Qubit c1, Qubit target) {
     return Gate(GateKind::Toffoli, {c0, c1}, {target});
 }
 
-Gate make_mcx(std::vector<Qubit> controls, Qubit target) {
+Gate make_mcx(std::span<const Qubit> controls, Qubit target) {
     if (controls.size() == 1) return make_cnot(controls[0], target);
-    return Gate(GateKind::Toffoli, std::move(controls), {target});
+    return Gate(GateKind::Toffoli, controls, std::span<const Qubit>(&target, 1));
 }
 
 Gate make_fredkin(Qubit control, Qubit a, Qubit b) {
     return Gate(GateKind::Fredkin, {control}, {a, b});
 }
 
-Gate make_mcswap(std::vector<Qubit> controls, Qubit a, Qubit b) {
-    return Gate(GateKind::Fredkin, std::move(controls), {a, b});
+Gate make_mcswap(std::span<const Qubit> controls, Qubit a, Qubit b) {
+    const std::array<Qubit, 2> swapped{a, b};
+    return Gate(GateKind::Fredkin, controls, swapped);
 }
 
 Gate make_swap(Qubit a, Qubit b) { return Gate(GateKind::Swap, {}, {a, b}); }

@@ -1,5 +1,6 @@
 #include "iig/iig.h"
 
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -14,7 +15,7 @@ Iig::Iig(const circuit::Circuit& circ) {
     std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
     pairs.reserve(circ.size());
     for (const circuit::Gate& gate : circ.gates()) {
-        const auto qubits = gate.qubits();
+        const std::span<const circuit::Qubit> qubits = gate.qubits();
         if (qubits.size() < 2) continue;
         for (std::size_t a = 0; a < qubits.size(); ++a) {
             for (std::size_t b = a + 1; b < qubits.size(); ++b) {

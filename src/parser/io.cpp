@@ -1,7 +1,9 @@
 #include "parser/io.h"
 
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <system_error>
 
 #include "parser/openqasm.h"
 #include "parser/qasm.h"
@@ -14,9 +16,19 @@ namespace leqa::parser {
 std::string read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw util::NotFoundError("cannot open file: " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
+    // Size the string once and read straight into it.
+    std::error_code error;
+    const std::uintmax_t size = std::filesystem::file_size(path, error);
+    std::string text;
+    if (!error) {
+        text.resize(static_cast<std::size_t>(size));
+        in.read(text.data(), static_cast<std::streamsize>(text.size()));
+        text.resize(static_cast<std::size_t>(in.gcount()));
+    }
+    // Whatever lies past that size (a file still growing, or a pipe or
+    // device that has no size) is appended as it comes.
+    text.append(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    return text;
 }
 
 void write_file(const std::string& path, const std::string& text) {

@@ -1,6 +1,8 @@
 #include "parser/qasm.h"
 
-#include <istream>
+#include <algorithm>
+#include <cctype>
+#include <span>
 #include <sstream>
 
 #include "parser/diagnostics.h"
@@ -10,87 +12,62 @@ namespace leqa::parser {
 
 namespace {
 
-/// Strip "#"- and "//"-style comments.
-std::string strip_comment(const std::string& line) {
-    std::size_t cut = line.size();
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) cut = std::min(cut, hash);
-    const auto slashes = line.find("//");
-    if (slashes != std::string::npos) cut = std::min(cut, slashes);
-    return line.substr(0, cut);
+/// The line up to its first "#"- or "//"-style comment.
+std::string_view strip_comment(std::string_view line) {
+    return line.substr(0, std::min(line.find('#'), line.find("//")));
 }
 
-/// Split a gate operand list on commas and/or whitespace.
-std::vector<std::string> split_operands(const std::string& text) {
-    std::vector<std::string> out;
-    std::string current;
-    for (const char c : text) {
-        if (c == ',' || std::isspace(static_cast<unsigned char>(c))) {
-            if (!current.empty()) {
-                out.push_back(current);
-                current.clear();
-            }
-        } else {
-            current += c;
-        }
-    }
-    if (!current.empty()) out.push_back(current);
-    return out;
+/// Pop the next gate operand off \p rest: operands are separated by commas
+/// and/or whitespace.  Empty once none is left.
+std::string_view next_operand(std::string_view& rest) {
+    const auto is_separator = [](char c) {
+        return c == ',' || std::isspace(static_cast<unsigned char>(c)) != 0;
+    };
+    std::size_t i = 0;
+    while (i < rest.size() && is_separator(rest[i])) ++i;
+    const std::size_t begin = i;
+    while (i < rest.size() && !is_separator(rest[i])) ++i;
+    const std::string_view operand = rest.substr(begin, i - begin);
+    rest.remove_prefix(i);
+    return operand;
 }
 
-circuit::Qubit resolve_qubit(circuit::Circuit& circ, const std::string& token,
-                             const SourceLoc& loc) {
-    if (circ.has_qubit(token)) return circ.qubit_index(token);
-    throw ParseError(loc, "unknown qubit '" + token + "'");
-}
-
-circuit::Gate build_gate(circuit::GateKind kind, std::vector<circuit::Qubit> operands,
-                         const SourceLoc& loc) {
-    const circuit::GateInfo& info = circuit::gate_info(kind);
-    std::size_t n_targets = static_cast<std::size_t>(info.targets);
-    if (operands.size() < n_targets) {
-        throw ParseError(loc, std::string(info.name) + ": expected at least " +
-                                  std::to_string(n_targets) + " operand(s)");
-    }
-    std::vector<circuit::Qubit> targets(operands.end() - static_cast<std::ptrdiff_t>(n_targets),
-                                        operands.end());
-    operands.resize(operands.size() - n_targets);
-    circuit::Gate gate(kind, std::move(operands), std::move(targets));
-    try {
-        gate.validate();
-    } catch (const util::InputError& e) {
-        throw ParseError(loc, e.what());
-    }
-    return gate;
+/// The single argument of a directive or declaration, or empty when there
+/// is not exactly one.
+std::string_view single_argument(std::string_view rest) {
+    const std::string_view argument = util::next_field(rest);
+    return util::next_field(rest).empty() ? argument : std::string_view();
 }
 
 } // namespace
 
-circuit::Circuit parse_qasm(const std::string& text, const std::string& source_name) {
-    std::istringstream in(text);
-    return parse_qasm_stream(in, source_name);
-}
-
-circuit::Circuit parse_qasm_stream(std::istream& in, const std::string& source_name) {
+circuit::Circuit parse_qasm(std::string_view text, const std::string& source_name) {
     circuit::Circuit circ;
+    // One gate per line at most: a single reservation instead of regrowth.
+    circ.reserve(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1);
     SourceLoc loc{source_name, 0};
-    std::string raw_line;
     bool qubits_declared = false;
+    std::vector<circuit::Qubit> operands; // reused by every gate line
 
-    while (std::getline(in, raw_line)) {
+    for (std::size_t pos = 0; pos < text.size();) {
+        const std::size_t newline = std::min(text.find('\n', pos), text.size());
+        const std::string_view raw_line = text.substr(pos, newline - pos);
+        pos = newline + 1;
         ++loc.line;
-        const std::string line = util::trim(strip_comment(raw_line));
+        const std::string_view line = util::trim_view(strip_comment(raw_line));
         if (line.empty()) continue;
 
+        std::string_view rest = line;
+        const std::string_view head = util::next_field(rest);
+
         if (line[0] == '.') {
-            const auto fields = util::split_whitespace(line);
-            const std::string directive = util::to_lower(fields[0]);
-            if (directive == ".name") {
-                if (fields.size() != 2) throw ParseError(loc, ".name expects one argument");
-                circ.set_name(fields[1]);
-            } else if (directive == ".qubits") {
-                if (fields.size() != 2) throw ParseError(loc, ".qubits expects one argument");
-                const auto count = util::parse_int(fields[1]);
+            const std::string_view argument = single_argument(rest);
+            if (util::iequals(head, ".name")) {
+                if (argument.empty()) throw ParseError(loc, ".name expects one argument");
+                circ.set_name(std::string(argument));
+            } else if (util::iequals(head, ".qubits")) {
+                if (argument.empty()) throw ParseError(loc, ".qubits expects one argument");
+                const auto count = util::parse_int(argument);
                 if (!count || *count < 0) {
                     throw ParseError(loc, ".qubits expects a non-negative integer");
                 }
@@ -100,39 +77,50 @@ circuit::Circuit parse_qasm_stream(std::istream& in, const std::string& source_n
                 for (long long i = 0; i < *count; ++i) circ.add_qubit();
                 qubits_declared = true;
             } else {
-                throw ParseError(loc, "unknown directive '" + fields[0] + "'");
+                throw ParseError(loc, "unknown directive '" + std::string(head) + "'");
             }
             continue;
         }
 
-        const auto fields = util::split_whitespace(line);
-        const std::string keyword = util::to_lower(fields[0]);
-
-        if (keyword == "qubit") {
-            if (fields.size() != 2) throw ParseError(loc, "qubit expects one name");
-            if (!util::is_identifier(fields[1])) {
-                throw ParseError(loc, "invalid qubit name '" + fields[1] + "'");
+        if (util::iequals(head, "qubit")) {
+            const std::string_view name = single_argument(rest);
+            if (name.empty()) throw ParseError(loc, "qubit expects one name");
+            if (!util::is_identifier(name)) {
+                throw ParseError(loc, "invalid qubit name '" + std::string(name) + "'");
             }
             try {
-                circ.add_qubit(fields[1]);
+                circ.add_qubit(name);
             } catch (const util::InputError& e) {
                 throw ParseError(loc, e.what());
             }
             continue;
         }
 
-        if (!circuit::is_gate_name(keyword)) {
-            throw ParseError(loc, "unknown gate or keyword '" + fields[0] + "'");
+        const auto kind = circuit::find_gate_kind(head);
+        if (!kind) {
+            throw ParseError(loc, "unknown gate or keyword '" + std::string(head) + "'");
         }
-        const circuit::GateKind kind = circuit::parse_gate_name(keyword);
-        const std::string operand_text = util::trim(line.substr(fields[0].size()));
-        const auto operand_tokens = split_operands(operand_text);
-        std::vector<circuit::Qubit> operands;
-        operands.reserve(operand_tokens.size());
-        for (const auto& token : operand_tokens) {
-            operands.push_back(resolve_qubit(circ, token, loc));
+        operands.clear();
+        for (std::string_view token = next_operand(rest); !token.empty();
+             token = next_operand(rest)) {
+            const auto q = circ.find_qubit(token);
+            if (!q) throw ParseError(loc, "unknown qubit '" + std::string(token) + "'");
+            operands.push_back(*q);
         }
-        circ.add_gate(build_gate(kind, std::move(operands), loc));
+        // All operands but the kind's target count are controls.
+        const circuit::GateInfo& info = circuit::gate_info(*kind);
+        const auto n_targets = static_cast<std::size_t>(info.targets);
+        if (operands.size() < n_targets) {
+            throw ParseError(loc, std::string(info.name) + ": expected at least " +
+                                      std::to_string(n_targets) + " operand(s)");
+        }
+        const std::span<const circuit::Qubit> all(operands);
+        try {
+            circ.add_gate(circuit::Gate(*kind, all.first(all.size() - n_targets),
+                                        all.last(n_targets)));
+        } catch (const util::InputError& e) {
+            throw ParseError(loc, e.what());
+        }
     }
     return circ;
 }
@@ -160,13 +148,9 @@ std::string write_qasm(const circuit::Circuit& circ) {
     }
 
     for (const circuit::Gate& g : circ.gates()) {
-        out << circuit::gate_name(g.kind);
+        out << circuit::gate_info(g.kind()).name;
         bool first = true;
-        for (const circuit::Qubit q : g.controls) {
-            out << (first ? " " : ", ") << circ.qubit_name(q);
-            first = false;
-        }
-        for (const circuit::Qubit q : g.targets) {
+        for (const circuit::Qubit q : g.qubits()) {
             out << (first ? " " : ", ") << circ.qubit_name(q);
             first = false;
         }

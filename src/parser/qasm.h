@@ -13,25 +13,23 @@
 ///     toffoli a0 b0 c0          # any number of controls; last is target
 ///     fredkin c, x, y           # controls..., then the two swapped qubits
 ///
-/// Gate mnemonics are those of circuit::parse_gate_name (x/not, y, z, h, s,
+/// Gate mnemonics are those of circuit::find_gate_kind (x/not, y, z, h, s,
 /// sdg, t, tdg, cnot/cx, toffoli/ccx, fredkin/cswap, swap).  For Toffoli all
 /// operands but the last are controls; for Fredkin all but the last two.
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "circuit/circuit.h"
 
 namespace leqa::parser {
 
-/// Parse QASM-subset text.  \p source_name is used in error messages.
-[[nodiscard]] circuit::Circuit parse_qasm(const std::string& text,
+/// Parse QASM-subset text in one pass over views of \p text: no per-line
+/// copies.  \p source_name is used in error messages, which carry the
+/// 1-based line number.
+[[nodiscard]] circuit::Circuit parse_qasm(std::string_view text,
                                           const std::string& source_name = "<string>");
-
-/// Parse from a stream (reads to EOF).
-[[nodiscard]] circuit::Circuit parse_qasm_stream(std::istream& in,
-                                                 const std::string& source_name);
 
 /// Serialize a circuit to the QASM-subset format (round-trips through
 /// parse_qasm up to comments and auto-generated qubit names).

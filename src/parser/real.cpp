@@ -99,10 +99,9 @@ circuit::Circuit parse_real_stream(std::istream& in, const std::string& source_n
         std::vector<circuit::Qubit> operands;
         operands.reserve(arity);
         for (std::size_t i = 1; i < fields.size(); ++i) {
-            if (!circ.has_qubit(fields[i])) {
-                throw ParseError(loc, "unknown variable '" + fields[i] + "'");
-            }
-            operands.push_back(circ.qubit_index(fields[i]));
+            const auto q = circ.find_qubit(fields[i]);
+            if (!q) throw ParseError(loc, "unknown variable '" + fields[i] + "'");
+            operands.push_back(*q);
         }
 
         try {
@@ -112,7 +111,7 @@ circuit::Circuit parse_real_stream(std::istream& in, const std::string& source_n
                 if (operands.empty()) {
                     circ.add_gate(circuit::make_x(target));
                 } else {
-                    circ.add_gate(circuit::make_mcx(std::move(operands), target));
+                    circ.add_gate(circuit::make_mcx(operands, target));
                 }
             } else { // 'f'
                 if (arity < 2) throw ParseError(loc, "fN gates need at least 2 operands");
@@ -123,7 +122,7 @@ circuit::Circuit parse_real_stream(std::istream& in, const std::string& source_n
                 if (operands.empty()) {
                     circ.add_gate(circuit::make_swap(a, b));
                 } else {
-                    circ.add_gate(circuit::make_mcswap(std::move(operands), a, b));
+                    circ.add_gate(circuit::make_mcswap(operands, a, b));
                 }
             }
         } catch (const util::InputError& e) {
@@ -151,29 +150,29 @@ std::string write_real(const circuit::Circuit& circ) {
     }
     out << "\n.begin\n";
     for (const circuit::Gate& g : circ.gates()) {
-        switch (g.kind) {
+        switch (g.kind()) {
             case circuit::GateKind::X:
-                out << "t1 " << circ.qubit_name(g.targets[0]) << '\n';
+                out << "t1 " << circ.qubit_name(g.targets()[0]) << '\n';
                 break;
             case circuit::GateKind::Cnot:
-                out << "t2 " << circ.qubit_name(g.controls[0]) << ' '
-                    << circ.qubit_name(g.targets[0]) << '\n';
+                out << "t2 " << circ.qubit_name(g.controls()[0]) << ' '
+                    << circ.qubit_name(g.targets()[0]) << '\n';
                 break;
             case circuit::GateKind::Toffoli: {
-                out << 't' << (g.controls.size() + 1);
-                for (const circuit::Qubit q : g.controls) out << ' ' << circ.qubit_name(q);
-                out << ' ' << circ.qubit_name(g.targets[0]) << '\n';
+                out << 't' << (g.controls().size() + 1);
+                for (const circuit::Qubit q : g.controls()) out << ' ' << circ.qubit_name(q);
+                out << ' ' << circ.qubit_name(g.targets()[0]) << '\n';
                 break;
             }
             case circuit::GateKind::Swap:
-                out << "f2 " << circ.qubit_name(g.targets[0]) << ' '
-                    << circ.qubit_name(g.targets[1]) << '\n';
+                out << "f2 " << circ.qubit_name(g.targets()[0]) << ' '
+                    << circ.qubit_name(g.targets()[1]) << '\n';
                 break;
             case circuit::GateKind::Fredkin: {
-                out << 'f' << (g.controls.size() + 2);
-                for (const circuit::Qubit q : g.controls) out << ' ' << circ.qubit_name(q);
-                out << ' ' << circ.qubit_name(g.targets[0]) << ' '
-                    << circ.qubit_name(g.targets[1]) << '\n';
+                out << 'f' << (g.controls().size() + 2);
+                for (const circuit::Qubit q : g.controls()) out << ' ' << circ.qubit_name(q);
+                out << ' ' << circ.qubit_name(g.targets()[0]) << ' '
+                    << circ.qubit_name(g.targets()[1]) << '\n';
                 break;
             }
             default:

@@ -9,12 +9,13 @@
 namespace leqa::qodg {
 
 Qodg::Qodg(const circuit::Circuit& circ) {
-    const std::size_t n_gates = circ.size();
+    const std::vector<circuit::Gate>& gates = circ.gates();
+    const std::size_t n_gates = gates.size();
     nodes_.reserve(n_gates + 2);
 
     nodes_.push_back(Node{NodeKind::Start, 0, circuit::GateKind::X});
     for (std::size_t i = 0; i < n_gates; ++i) {
-        nodes_.push_back(Node{NodeKind::Op, i, circ.gate(i).kind});
+        nodes_.push_back(Node{NodeKind::Op, i, gates[i].kind()});
     }
     nodes_.push_back(Node{NodeKind::End, 0, circuit::GateKind::X});
     const NodeId end_id = end();
@@ -27,13 +28,11 @@ Qodg::Qodg(const circuit::Circuit& circ) {
 
     for (std::size_t i = 0; i < n_gates; ++i) {
         const NodeId me = static_cast<NodeId>(i + 1);
-        const circuit::Gate& gate = circ.gate(i);
+        const std::span<const circuit::Qubit> qubits = gates[i].qubits();
         // Parallel edges (a CNOT feeding both operands of another CNOT) are
         // merged by the builder at freeze time.
-        for (const circuit::Qubit q : gate.controls) builder.add_edge(last[q], me);
-        for (const circuit::Qubit q : gate.targets) builder.add_edge(last[q], me);
-        for (const circuit::Qubit q : gate.controls) last[q] = me;
-        for (const circuit::Qubit q : gate.targets) last[q] = me;
+        for (const circuit::Qubit q : qubits) builder.add_edge(last[q], me);
+        for (const circuit::Qubit q : qubits) last[q] = me;
     }
 
     // Connect all last-level nodes (and untouched qubits' start) to end;
@@ -367,7 +366,7 @@ std::string Qodg::to_dot(const circuit::Circuit& circ) const {
             case NodeKind::End: out << "end"; break;
             case NodeKind::Op:
                 out << node.gate_index + 1 << ": "
-                    << circuit::gate_name(circ.gate(node.gate_index).kind);
+                    << circuit::gate_name(circ.gate(node.gate_index).kind());
                 break;
         }
         out << "\"";

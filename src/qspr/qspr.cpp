@@ -93,7 +93,7 @@ public:
             const circuit::Gate& gate = circ_.gate(gate_index);
             ScheduledOp op;
             op.gate_index = gate_index;
-            if (gate.kind == circuit::GateKind::Cnot) {
+            if (gate.kind() == circuit::GateKind::Cnot) {
                 execute_cnot(gate, op);
                 ++stats_.cnot_ops;
             } else {
@@ -124,7 +124,7 @@ private:
     static constexpr std::int32_t kNoQubit = -1;
 
     void execute_one_qubit(const circuit::Gate& gate, ScheduledOp& op) {
-        const circuit::Qubit q = gate.targets[0];
+        const circuit::Qubit q = gate.targets()[0];
         const double ready = qubit_free_[q];
         UlbId host = home_[q];
 
@@ -142,7 +142,7 @@ private:
             }
         }
 
-        const double finish = start + params_.delay_us(gate.kind);
+        const double finish = start + params_.delay_us(gate.kind());
         qubit_free_[q] = finish;
         ulb_busy_[static_cast<std::size_t>(host)] = finish;
         op.start_us = start;
@@ -151,8 +151,8 @@ private:
     }
 
     void execute_cnot(const circuit::Gate& gate, ScheduledOp& op) {
-        const circuit::Qubit control = gate.controls[0];
-        const circuit::Qubit target = gate.targets[0];
+        const circuit::Qubit control = gate.controls()[0];
+        const circuit::Qubit target = gate.targets()[0];
         const UlbCoord c_home = geometry_.ulb_coord(home_[control]);
         const UlbCoord t_home = geometry_.ulb_coord(home_[target]);
 

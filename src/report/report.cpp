@@ -171,7 +171,7 @@ std::string schedule_to_csv(const qspr::QsprResult& result, const circuit::Circu
     for (const qspr::ScheduledOp& op : result.schedule) {
         LEQA_REQUIRE(op.gate_index < circ.size(), "schedule references unknown gate");
         out << op.gate_index << ','
-            << circuit::gate_name(circ.gate(op.gate_index).kind) << ','
+            << circuit::gate_name(circ.gate(op.gate_index).kind()) << ','
             << op.start_us << ',' << op.finish_us << ',' << op.ulb << '\n';
     }
     return out.str();

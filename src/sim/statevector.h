@@ -8,6 +8,7 @@
 #pragma once
 
 #include <complex>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -48,9 +49,9 @@ public:
 
 private:
     void apply_one_qubit(const Amplitude m[2][2], circuit::Qubit target,
-                         const std::vector<circuit::Qubit>& controls);
+                         std::span<const circuit::Qubit> controls);
     void apply_swap(circuit::Qubit a, circuit::Qubit b,
-                    const std::vector<circuit::Qubit>& controls);
+                    std::span<const circuit::Qubit> controls);
 
     std::size_t num_qubits_;
     std::vector<Amplitude> amplitudes_;

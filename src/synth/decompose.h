@@ -16,10 +16,19 @@
 #pragma once
 
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "circuit/circuit.h"
+#include "util/error.h"
 
 namespace leqa::synth {
+
+// The emit_* rewrites are templates over the sink (any callable taking a
+// `const circuit::Gate&`) and the ancilla allocator (any callable returning
+// a fresh |0> qubit), so a caller's lambda inlines into the loop that
+// produces the gates.  GateSink and AncillaAllocator are the type-erased
+// forms for callers that need to store one.
 
 /// Sink receiving rewritten gates in program order.
 using GateSink = std::function<void(const circuit::Gate&)>;
@@ -27,28 +36,105 @@ using GateSink = std::function<void(const circuit::Gate&)>;
 /// Allocator returning a fresh |0> ancilla qubit index on each call.
 using AncillaAllocator = std::function<circuit::Qubit()>;
 
-/// Emit the 15-gate FT realization of Toffoli(c0, c1 -> t).
-void emit_toffoli_ft(circuit::Qubit c0, circuit::Qubit c1, circuit::Qubit t,
-                     const GateSink& sink);
+/// Emit the 15-gate FT realization of Toffoli(a, b -> t).
+template <class Sink>
+void emit_toffoli_ft(circuit::Qubit a, circuit::Qubit b, circuit::Qubit t, Sink&& sink) {
+    // Standard CNOT-optimal network (6 CNOT, 7 T/T-dagger, 2 H); this is the
+    // circuit depicted in the paper's Figure 2(a).
+    sink(circuit::make_h(t));
+    sink(circuit::make_cnot(b, t));
+    sink(circuit::make_tdg(t));
+    sink(circuit::make_cnot(a, t));
+    sink(circuit::make_t(t));
+    sink(circuit::make_cnot(b, t));
+    sink(circuit::make_tdg(t));
+    sink(circuit::make_cnot(a, t));
+    sink(circuit::make_t(b));
+    sink(circuit::make_t(t));
+    sink(circuit::make_cnot(a, b));
+    sink(circuit::make_h(t));
+    sink(circuit::make_t(a));
+    sink(circuit::make_tdg(b));
+    sink(circuit::make_cnot(a, b));
+}
 
 /// Emit Fredkin(c; a, b) as three Toffolis:
 /// Tof(c,a->b) Tof(c,b->a) Tof(c,a->b).
+template <class Sink>
 void emit_fredkin_as_toffoli(circuit::Qubit c, circuit::Qubit a, circuit::Qubit b,
-                             const GateSink& sink);
+                             Sink&& sink) {
+    // Controlled SWAP = the three-CNOT swap with every CNOT promoted to a
+    // Toffoli by the extra control (the paper replaces each 3-input Fredkin
+    // by three 3-input Toffolis).
+    sink(circuit::make_toffoli(c, a, b));
+    sink(circuit::make_toffoli(c, b, a));
+    sink(circuit::make_toffoli(c, a, b));
+}
 
 /// Emit SWAP(a, b) as three CNOTs.
-void emit_swap_as_cnot(circuit::Qubit a, circuit::Qubit b, const GateSink& sink);
+template <class Sink>
+void emit_swap_as_cnot(circuit::Qubit a, circuit::Qubit b, Sink&& sink) {
+    sink(circuit::make_cnot(a, b));
+    sink(circuit::make_cnot(b, a));
+    sink(circuit::make_cnot(a, b));
+}
+
+namespace detail {
+
+/// The AND-chain over k controls into k-1 ancillas: chain[0] = c0 AND c1,
+/// chain[i-1] = c_i AND chain[i-2].  Emitted forward to compute, backward
+/// to uncompute (every step is a self-inverse Toffoli).
+template <class Sink>
+void emit_and_chain(std::span<const circuit::Qubit> controls,
+                    std::span<const circuit::Qubit> chain, bool uncompute, Sink& sink) {
+    const auto step = [&](std::size_t i) {
+        if (i == 1) {
+            sink(circuit::make_toffoli(controls[0], controls[1], chain[0]));
+        } else {
+            sink(circuit::make_toffoli(controls[i], chain[i - 2], chain[i - 1]));
+        }
+    };
+    if (uncompute) {
+        for (std::size_t i = controls.size() - 1; i >= 1; --i) step(i);
+    } else {
+        for (std::size_t i = 1; i < controls.size(); ++i) step(i);
+    }
+}
+
+template <class Alloc>
+std::vector<circuit::Qubit> allocate_chain(std::size_t num_controls, Alloc& alloc) {
+    std::vector<circuit::Qubit> chain(num_controls - 1);
+    for (circuit::Qubit& q : chain) q = alloc();
+    return chain;
+}
+
+} // namespace detail
 
 /// Emit a k-controlled X (k >= 3) as an AND-chain with k-1 fresh ancillas:
 /// 2(k-1) Toffolis + 1 CNOT.  Ancillas are uncomputed back to |0>.
-void emit_mcx_chain(const std::vector<circuit::Qubit>& controls, circuit::Qubit target,
-                    const AncillaAllocator& alloc, const GateSink& sink);
+template <class Alloc, class Sink>
+void emit_mcx_chain(std::span<const circuit::Qubit> controls, circuit::Qubit target,
+                    Alloc&& alloc, Sink&& sink) {
+    LEQA_REQUIRE(controls.size() >= 3,
+                 "emit_mcx_chain: use plain CNOT/Toffoli below three controls");
+    const std::vector<circuit::Qubit> chain = detail::allocate_chain(controls.size(), alloc);
+    detail::emit_and_chain(controls, chain, false, sink);
+    sink(circuit::make_cnot(chain.back(), target));
+    detail::emit_and_chain(controls, chain, true, sink);
+}
 
 /// Emit a k-controlled SWAP (k >= 2) as an AND-chain plus one 3-input
 /// Fredkin on the chain output.  k-1 fresh ancillas, uncomputed.
-void emit_mcswap_chain(const std::vector<circuit::Qubit>& controls, circuit::Qubit a,
-                       circuit::Qubit b, const AncillaAllocator& alloc,
-                       const GateSink& sink);
+template <class Alloc, class Sink>
+void emit_mcswap_chain(std::span<const circuit::Qubit> controls, circuit::Qubit a,
+                       circuit::Qubit b, Alloc&& alloc, Sink&& sink) {
+    LEQA_REQUIRE(controls.size() >= 2,
+                 "emit_mcswap_chain: use plain Fredkin below two controls");
+    const std::vector<circuit::Qubit> chain = detail::allocate_chain(controls.size(), alloc);
+    detail::emit_and_chain(controls, chain, false, sink);
+    sink(circuit::make_fredkin(chain.back(), a, b));
+    detail::emit_and_chain(controls, chain, true, sink);
+}
 
 /// Gate-count bookkeeping for the closed-form count checks in the tests:
 /// FT op count of one k-controlled X after full synthesis (fresh ancillas):

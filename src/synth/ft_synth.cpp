@@ -70,6 +70,11 @@ FtSynthResult ft_synthesize(const Circuit& input, const FtSynthOptions& options)
     for (const auto& comment : input.comments()) out.add_comment(comment);
     out.add_comment("ft-synthesized (ancilla sharing: " +
                     std::string(options.share_ancillas ? "on" : "off") + ")");
+    // The closed forms size the output (exact gate count when fully
+    // lowering; the ancilla count is an upper bound when sharing), so the
+    // gate list is allocated once.
+    out.reserve(options.keep_toffoli ? input.size() : predicted_ft_ops(input),
+                input.num_qubits() + predicted_ancillas(input));
     for (Qubit q = 0; q < input.num_qubits(); ++q) out.add_qubit(input.qubit_name(q));
 
     AncillaManager ancillas(out, options.share_ancillas, options.ancilla_prefix);
@@ -77,33 +82,35 @@ FtSynthResult ft_synthesize(const Circuit& input, const FtSynthOptions& options)
     stats.input_gates = input.size();
     stats.input_qubits = input.num_qubits();
 
-    // Stage-2 sink: lowers 3-input Toffolis to the FT network unless
+    const auto emit = [&out](const Gate& g) { out.add_gate(g); };
+
+    // Stage 2: lowers 3-input Toffolis to the FT network unless
     // keep_toffoli is set; everything else is appended as-is.
-    const GateSink lower_sink = [&](const Gate& g) {
-        if (g.kind == GateKind::Toffoli && g.controls.size() == 2 && !options.keep_toffoli) {
+    const auto lower = [&](const Gate& g) {
+        if (g.kind() == GateKind::Toffoli && g.controls().size() == 2 &&
+            !options.keep_toffoli) {
             ++stats.toffolis_lowered;
-            emit_toffoli_ft(g.controls[0], g.controls[1], g.targets[0],
-                            [&](const Gate& ft) { out.add_gate(ft); });
+            emit_toffoli_ft(g.controls()[0], g.controls()[1], g.targets()[0], emit);
         } else {
-            out.add_gate(g);
+            emit(g);
         }
     };
 
-    // Stage-1 sink: 3-input Fredkin -> three Toffolis, then stage 2.
-    const GateSink stage1_sink = [&](const Gate& g) {
-        if (g.kind == GateKind::Fredkin && g.controls.size() == 1) {
+    // Stage 1: 3-input Fredkin -> three Toffolis, then stage 2.
+    const auto stage1 = [&](const Gate& g) {
+        if (g.kind() == GateKind::Fredkin && g.controls().size() == 1) {
             ++stats.fredkins_lowered;
-            emit_fredkin_as_toffoli(g.controls[0], g.targets[0], g.targets[1], lower_sink);
+            emit_fredkin_as_toffoli(g.controls()[0], g.targets()[0], g.targets()[1], lower);
         } else {
-            lower_sink(g);
+            lower(g);
         }
     };
 
-    const AncillaAllocator alloc = [&] { return ancillas.allocate(); };
+    const auto alloc = [&ancillas] { return ancillas.allocate(); };
 
     for (const Gate& g : input.gates()) {
         ancillas.begin_gate();
-        switch (g.kind) {
+        switch (g.kind()) {
             case GateKind::X:
             case GateKind::Y:
             case GateKind::Z:
@@ -113,26 +120,26 @@ FtSynthResult ft_synthesize(const Circuit& input, const FtSynthOptions& options)
             case GateKind::T:
             case GateKind::Tdg:
             case GateKind::Cnot:
-                out.add_gate(g);
+                emit(g);
                 break;
             case GateKind::Swap:
-                emit_swap_as_cnot(g.targets[0], g.targets[1], stage1_sink);
+                emit_swap_as_cnot(g.targets()[0], g.targets()[1], stage1);
                 break;
             case GateKind::Toffoli:
-                if (g.controls.size() <= 2) {
-                    stage1_sink(g);
+                if (g.controls().size() <= 2) {
+                    stage1(g);
                 } else {
                     ++stats.chains_expanded;
-                    emit_mcx_chain(g.controls, g.targets[0], alloc, stage1_sink);
+                    emit_mcx_chain(g.controls(), g.targets()[0], alloc, stage1);
                 }
                 break;
             case GateKind::Fredkin:
-                if (g.controls.size() == 1) {
-                    stage1_sink(g);
+                if (g.controls().size() == 1) {
+                    stage1(g);
                 } else {
                     ++stats.chains_expanded;
-                    emit_mcswap_chain(g.controls, g.targets[0], g.targets[1], alloc,
-                                      stage1_sink);
+                    emit_mcswap_chain(g.controls(), g.targets()[0], g.targets()[1], alloc,
+                                      stage1);
                 }
                 break;
         }
@@ -149,12 +156,12 @@ FtSynthResult ft_synthesize(const Circuit& input, const FtSynthOptions& options)
 std::size_t predicted_ft_ops(const Circuit& input) {
     std::size_t total = 0;
     for (const Gate& g : input.gates()) {
-        switch (g.kind) {
+        switch (g.kind()) {
             case GateKind::Toffoli:
-                total += ft_ops_for_mcx(g.controls.size() + 0);
+                total += ft_ops_for_mcx(g.controls().size());
                 break;
             case GateKind::Fredkin:
-                total += ft_ops_for_mcswap(g.controls.size());
+                total += ft_ops_for_mcswap(g.controls().size());
                 break;
             case GateKind::Swap:
                 total += 3;
@@ -170,12 +177,12 @@ std::size_t predicted_ft_ops(const Circuit& input) {
 std::size_t predicted_ancillas(const Circuit& input) {
     std::size_t total = 0;
     for (const Gate& g : input.gates()) {
-        switch (g.kind) {
+        switch (g.kind()) {
             case GateKind::Toffoli:
-                total += ancillas_for_mcx(g.controls.size());
+                total += ancillas_for_mcx(g.controls().size());
                 break;
             case GateKind::Fredkin:
-                total += ancillas_for_mcswap(g.controls.size());
+                total += ancillas_for_mcswap(g.controls().size());
                 break;
             default:
                 break;

@@ -10,12 +10,25 @@ namespace {
 bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
 } // namespace
 
-std::string trim(std::string_view text) {
+std::string trim(std::string_view text) { return std::string(trim_view(text)); }
+
+std::string_view trim_view(std::string_view text) {
     std::size_t begin = 0;
     std::size_t end = text.size();
     while (begin < end && is_space(text[begin])) ++begin;
     while (end > begin && is_space(text[end - 1])) --end;
-    return std::string(text.substr(begin, end - begin));
+    return text.substr(begin, end - begin);
+}
+
+bool iequals(std::string_view a, std::string_view b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::tolower(static_cast<unsigned char>(a[i])) !=
+            std::tolower(static_cast<unsigned char>(b[i]))) {
+            return false;
+        }
+    }
+    return true;
 }
 
 std::string to_lower(std::string_view text) {
@@ -38,14 +51,20 @@ std::vector<std::string> split(std::string_view text, char sep) {
 
 std::vector<std::string> split_whitespace(std::string_view text) {
     std::vector<std::string> parts;
-    std::size_t i = 0;
-    while (i < text.size()) {
-        while (i < text.size() && is_space(text[i])) ++i;
-        const std::size_t begin = i;
-        while (i < text.size() && !is_space(text[i])) ++i;
-        if (i > begin) parts.emplace_back(text.substr(begin, i - begin));
+    for (std::string_view field = next_field(text); !field.empty(); field = next_field(text)) {
+        parts.emplace_back(field);
     }
     return parts;
+}
+
+std::string_view next_field(std::string_view& rest) {
+    std::size_t i = 0;
+    while (i < rest.size() && is_space(rest[i])) ++i;
+    const std::size_t begin = i;
+    while (i < rest.size() && !is_space(rest[i])) ++i;
+    const std::string_view field = rest.substr(begin, i - begin);
+    rest.remove_prefix(i);
+    return field;
 }
 
 bool starts_with(std::string_view text, std::string_view prefix) {
@@ -66,7 +85,7 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 }
 
 std::optional<long long> parse_int(std::string_view text) {
-    const std::string trimmed = trim(text);
+    const std::string_view trimmed = trim_view(text);
     if (trimmed.empty()) return std::nullopt;
     long long value = 0;
     const char* begin = trimmed.data();
@@ -77,7 +96,7 @@ std::optional<long long> parse_int(std::string_view text) {
 }
 
 std::optional<double> parse_double(std::string_view text) {
-    const std::string trimmed = trim(text);
+    const std::string_view trimmed = trim_view(text);
     if (trimmed.empty()) return std::nullopt;
     // std::from_chars for double is available in libstdc++ 11+.
     double value = 0.0;

@@ -12,6 +12,12 @@ namespace leqa::util {
 /// Remove leading and trailing ASCII whitespace.
 [[nodiscard]] std::string trim(std::string_view text);
 
+/// trim() without the copy: a view into \p text.
+[[nodiscard]] std::string_view trim_view(std::string_view text);
+
+/// ASCII case-insensitive equality.
+[[nodiscard]] bool iequals(std::string_view a, std::string_view b);
+
 /// Lower-case ASCII copy.
 [[nodiscard]] std::string to_lower(std::string_view text);
 
@@ -20,6 +26,10 @@ namespace leqa::util {
 
 /// Split on any run of ASCII whitespace; empty fields are dropped.
 [[nodiscard]] std::vector<std::string> split_whitespace(std::string_view text);
+
+/// Pop the next whitespace-delimited field off the front of \p rest (a view
+/// into it); empty once no field is left.
+[[nodiscard]] std::string_view next_field(std::string_view& rest);
 
 [[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
 [[nodiscard]] bool ends_with(std::string_view text, std::string_view suffix);

@@ -174,16 +174,16 @@ struct ReferenceQodg {
             const auto me = static_cast<lq::NodeId>(i + 1);
             const lc::Gate& gate = circ.gate(i);
             preds.clear();
-            for (const lc::Qubit q : gate.controls) preds.push_back(last[q]);
-            for (const lc::Qubit q : gate.targets) preds.push_back(last[q]);
+            for (const lc::Qubit q : gate.controls()) preds.push_back(last[q]);
+            for (const lc::Qubit q : gate.targets()) preds.push_back(last[q]);
             std::sort(preds.begin(), preds.end());
             preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
             for (const lq::NodeId p : preds) {
                 out_edges[p].push_back(me);
                 ++edge_count;
             }
-            for (const lc::Qubit q : gate.controls) last[q] = me;
-            for (const lc::Qubit q : gate.targets) last[q] = me;
+            for (const lc::Qubit q : gate.controls()) last[q] = me;
+            for (const lc::Qubit q : gate.targets()) last[q] = me;
         }
         std::vector<lq::NodeId> tails(last.begin(), last.end());
         if (circ.num_qubits() == 0) tails.push_back(0);

@@ -33,10 +33,10 @@ id q[0];
     const auto circ = lp::parse_openqasm(text);
     EXPECT_EQ(circ.num_qubits(), 3u);
     ASSERT_EQ(circ.size(), 6u); // barrier/id ignored
-    EXPECT_EQ(circ.gate(0).kind, lc::GateKind::H);
-    EXPECT_EQ(circ.gate(1).kind, lc::GateKind::Toffoli);
-    EXPECT_EQ(circ.gate(2).kind, lc::GateKind::Cnot);
-    EXPECT_EQ(circ.gate(5).kind, lc::GateKind::Swap);
+    EXPECT_EQ(circ.gate(0).kind(), lc::GateKind::H);
+    EXPECT_EQ(circ.gate(1).kind(), lc::GateKind::Toffoli);
+    EXPECT_EQ(circ.gate(2).kind(), lc::GateKind::Cnot);
+    EXPECT_EQ(circ.gate(5).kind(), lc::GateKind::Swap);
     EXPECT_EQ(circ.qubit_name(0), "q[0]");
 }
 
@@ -45,15 +45,15 @@ TEST(OpenQasm, MultipleRegisters) {
         "OPENQASM 2.0;\nqreg a[2];\nqreg b[2];\ncx a[1], b[0];\n";
     const auto circ = lp::parse_openqasm(text);
     EXPECT_EQ(circ.num_qubits(), 4u);
-    EXPECT_EQ(circ.gate(0).controls[0], 1u);
-    EXPECT_EQ(circ.gate(0).targets[0], 2u);
+    EXPECT_EQ(circ.gate(0).controls()[0], 1u);
+    EXPECT_EQ(circ.gate(0).targets()[0], 2u);
 }
 
 TEST(OpenQasm, StatementsSpanLines) {
     const std::string text = "OPENQASM 2.0;\nqreg q[2];\ncx\n  q[0],\n  q[1];\n";
     const auto circ = lp::parse_openqasm(text);
     ASSERT_EQ(circ.size(), 1u);
-    EXPECT_EQ(circ.gate(0).kind, lc::GateKind::Cnot);
+    EXPECT_EQ(circ.gate(0).kind(), lc::GateKind::Cnot);
 }
 
 TEST(OpenQasm, Diagnostics) {

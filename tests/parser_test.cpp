@@ -30,11 +30,15 @@ toffoli q0 q1 q2
     EXPECT_EQ(circ.name(), "ham3");
     EXPECT_EQ(circ.num_qubits(), 3u);
     ASSERT_EQ(circ.size(), 5u);
-    EXPECT_EQ(circ.gate(0).kind, lc::GateKind::H);
-    EXPECT_EQ(circ.gate(3).kind, lc::GateKind::Cnot);
-    EXPECT_EQ(circ.gate(4).kind, lc::GateKind::Toffoli);
-    EXPECT_EQ(circ.gate(4).controls, (std::vector<lc::Qubit>{0, 1}));
-    EXPECT_EQ(circ.gate(4).targets, (std::vector<lc::Qubit>{2}));
+    EXPECT_EQ(circ.gate(0).kind(), lc::GateKind::H);
+    EXPECT_EQ(circ.gate(3).kind(), lc::GateKind::Cnot);
+    EXPECT_EQ(circ.gate(4).kind(), lc::GateKind::Toffoli);
+    const auto controls = circ.gate(4).controls();
+    const auto targets = circ.gate(4).targets();
+    EXPECT_EQ(std::vector<lc::Qubit>(controls.begin(), controls.end()),
+              (std::vector<lc::Qubit>{0, 1}));
+    EXPECT_EQ(std::vector<lc::Qubit>(targets.begin(), targets.end()),
+              (std::vector<lc::Qubit>{2}));
 }
 
 TEST(QasmParser, NamedQubitDeclarations) {
@@ -45,18 +49,18 @@ cnot alpha, beta
     const auto circ = lp::parse_qasm(text);
     EXPECT_EQ(circ.num_qubits(), 2u);
     EXPECT_EQ(circ.qubit_name(0), "alpha");
-    EXPECT_EQ(circ.gate(0).controls[0], 0u);
-    EXPECT_EQ(circ.gate(0).targets[0], 1u);
+    EXPECT_EQ(circ.gate(0).controls()[0], 0u);
+    EXPECT_EQ(circ.gate(0).targets()[0], 1u);
 }
 
 TEST(QasmParser, MultiControlledGates) {
     const std::string text = ".qubits 5\ntoffoli q0 q1 q2 q3 q4\nfredkin q0, q1, q2\n";
     const auto circ = lp::parse_qasm(text);
     ASSERT_EQ(circ.size(), 2u);
-    EXPECT_EQ(circ.gate(0).controls.size(), 4u);
-    EXPECT_EQ(circ.gate(1).kind, lc::GateKind::Fredkin);
-    EXPECT_EQ(circ.gate(1).controls.size(), 1u);
-    EXPECT_EQ(circ.gate(1).targets.size(), 2u);
+    EXPECT_EQ(circ.gate(0).controls().size(), 4u);
+    EXPECT_EQ(circ.gate(1).kind(), lc::GateKind::Fredkin);
+    EXPECT_EQ(circ.gate(1).controls().size(), 1u);
+    EXPECT_EQ(circ.gate(1).targets().size(), 2u);
 }
 
 TEST(QasmParser, ErrorsCarryLineNumbers) {
@@ -165,11 +169,11 @@ f2 b c
     const auto circ = lp::parse_real(text);
     EXPECT_EQ(circ.num_qubits(), 3u);
     ASSERT_EQ(circ.size(), 5u);
-    EXPECT_EQ(circ.gate(0).kind, lc::GateKind::X);
-    EXPECT_EQ(circ.gate(1).kind, lc::GateKind::Cnot);
-    EXPECT_EQ(circ.gate(2).kind, lc::GateKind::Toffoli);
-    EXPECT_EQ(circ.gate(3).kind, lc::GateKind::Fredkin);
-    EXPECT_EQ(circ.gate(4).kind, lc::GateKind::Swap);
+    EXPECT_EQ(circ.gate(0).kind(), lc::GateKind::X);
+    EXPECT_EQ(circ.gate(1).kind(), lc::GateKind::Cnot);
+    EXPECT_EQ(circ.gate(2).kind(), lc::GateKind::Toffoli);
+    EXPECT_EQ(circ.gate(3).kind(), lc::GateKind::Fredkin);
+    EXPECT_EQ(circ.gate(4).kind(), lc::GateKind::Swap);
 }
 
 TEST(RealParser, NumvarsWithoutVariablesGetsDefaults) {
@@ -184,8 +188,8 @@ TEST(RealParser, LargeToffoli) {
         ".numvars 5\n.variables a b c d e\n.begin\nt5 a b c d e\n.end\n";
     const auto circ = lp::parse_real(text);
     ASSERT_EQ(circ.size(), 1u);
-    EXPECT_EQ(circ.gate(0).kind, lc::GateKind::Toffoli);
-    EXPECT_EQ(circ.gate(0).controls.size(), 4u);
+    EXPECT_EQ(circ.gate(0).kind(), lc::GateKind::Toffoli);
+    EXPECT_EQ(circ.gate(0).controls().size(), 4u);
 }
 
 TEST(RealParser, Diagnostics) {

@@ -144,13 +144,13 @@ TEST(PlacedDelays, MatchesTimerAndHopModel) {
     for (std::size_t i = 0; i < tc.graph->num_ops(); ++i) {
         const leqa::circuit::Gate& gate = tc.ft.gates()[i];
         const double delay = delays[tc.graph->node_of_gate(i)];
-        if (gate.kind == leqa::circuit::GateKind::Cnot) {
+        if (gate.kind() == leqa::circuit::GateKind::Cnot) {
             const int hops = topology->distance(
-                topology->ulb_coord(homes[gate.controls.at(0)]),
-                topology->ulb_coord(homes[gate.targets.at(0)]));
+                topology->ulb_coord(homes[gate.controls()[0]]),
+                topology->ulb_coord(homes[gate.targets()[0]]));
             EXPECT_EQ(delay, params.d_cnot_us + params.t_move_us * hops);
         } else {
-            EXPECT_EQ(delay, params.delay_us(gate.kind) +
+            EXPECT_EQ(delay, params.delay_us(gate.kind()) +
                                  params.one_qubit_routing_latency_us());
         }
     }

@@ -1,12 +1,20 @@
 // Parameterized property sweeps (TEST_P / INSTANTIATE_TEST_SUITE_P) over
 // fabric geometries, channel capacities, circuit shapes and random seeds:
-// the invariants every configuration must satisfy.
+// the invariants every configuration must satisfy -- and the netlist round
+// trip of every suite circuit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <filesystem>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include <unistd.h>
+
+#include "benchgen/suite.h"
 #include "core/engine.h"
 #include "core/leqa.h"
 #include "fabric/geometry.h"
@@ -15,8 +23,12 @@
 #include "graph/csr.h"
 #include "iig/iig.h"
 #include "mathx/queueing.h"
+#include "parser/io.h"
+#include "parser/openqasm.h"
 #include "qodg/qodg.h"
 #include "qspr/qspr.h"
+#include "synth/ft_synth.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace lc = leqa::circuit;
@@ -328,3 +340,53 @@ TEST_P(StructuredFuzzSweep, RandomCircuitAndTopologyHoldEveryContract) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StructuredFuzzSweep,
                          ::testing::Range<std::uint64_t>(1000, 1024));
+
+// ---------------------------------------------------- netlist round trip --
+// Every suite circuit, before and after FT synthesis, written as a netlist
+// and loaded back through load_netlist (which sniffs the dialect) keeps its
+// structure.  Native QASM goes through save_netlist; OpenQASM, which
+// save_netlist does not emit, through write_openqasm, for every circuit the
+// dialect can express (wide multi-controlled gates it cannot).
+
+class NetlistRoundTrip : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(NetlistRoundTrip, SaveThenLoadKeepsStructureInBothDialects) {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("leqa_roundtrip_" + std::to_string(::getpid()) + ".qasm"))
+            .string();
+    const lc::Circuit pre = leqa::benchgen::make_benchmark(GetParam());
+    const lc::Circuit ft = leqa::synth::ft_synthesize(pre).circuit;
+    for (const lc::Circuit* circ : {&pre, &ft}) {
+        const char* stage = circ == &pre ? "pre-FT" : "FT";
+        leqa::parser::save_netlist(*circ, path);
+        EXPECT_TRUE(leqa::parser::load_netlist(path).same_structure(*circ))
+            << GetParam() << " " << stage << " native QASM";
+
+        std::string openqasm;
+        try {
+            openqasm = leqa::parser::write_openqasm(*circ);
+        } catch (const leqa::util::InputError&) {
+            ASSERT_EQ(circ, &pre) << "every FT circuit is expressible in OpenQASM";
+            continue;
+        }
+        leqa::parser::write_file(path, openqasm);
+        EXPECT_TRUE(leqa::parser::load_netlist(path).same_structure(*circ))
+            << GetParam() << " " << stage << " OpenQASM";
+    }
+    std::filesystem::remove(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, NetlistRoundTrip, ::testing::ValuesIn([] {
+        std::vector<std::string> names;
+        for (const auto& spec : leqa::benchgen::paper_suite()) names.push_back(spec.name);
+        return names;
+    }()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+        std::string name = info.param;
+        for (char& c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+        }
+        return name;
+    });
