@@ -17,6 +17,7 @@
 #include "fabric/params.h"
 #include "iig/iig.h"
 #include "parser/io.h"
+#include "parser/openqasm.h"
 #include "parser/qasm.h"
 #include "pipeline/pipeline.h"
 #include "qodg/qodg.h"
@@ -33,28 +34,6 @@ circuit::Circuit ft_mult(int n) {
     spec.form = benchgen::Gf2PolyForm::Auto;
     return synth::ft_synthesize(benchgen::gf2_mult(spec)).circuit;
 }
-
-void BM_QodgBuild(benchmark::State& state) {
-    const auto circ = ft_mult(static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        const qodg::Qodg graph(circ);
-        benchmark::DoNotOptimize(graph.num_edges());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(circ.size()));
-}
-BENCHMARK(BM_QodgBuild)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_IigBuild(benchmark::State& state) {
-    const auto circ = ft_mult(static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        const iig::Iig iig(circ);
-        benchmark::DoNotOptimize(iig.num_edges());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(circ.size()));
-}
-BENCHMARK(BM_IigBuild)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_CriticalPath(benchmark::State& state) {
     const auto circ = ft_mult(static_cast<int>(state.range(0)));
@@ -333,8 +312,9 @@ BENCHMARK_REGISTER_F(ParameterAxisFixture, BM_ParameterAxisBatched)
     ->Unit(benchmark::kMillisecond);
 
 /// Front-end inputs for a gf2^n multiplier, n = state.range(0): the
-/// pre-FT circuit, its FT netlist as native QASM text, and that text on
-/// disk.  Rates are FT ops per second, so sizes compare directly.
+/// pre-FT circuit, its FT netlist as a circuit and as native QASM and
+/// OpenQASM text, and the native text on disk.  Rates are FT ops per
+/// second, so sizes compare directly.
 class FrontEndFixture : public benchmark::Fixture {
 public:
     void SetUp(const benchmark::State& state) override {
@@ -343,7 +323,9 @@ public:
         spec.form = benchgen::Gf2PolyForm::Auto;
         pre = benchgen::gf2_mult(spec);
         ft_ops = synth::predicted_ft_ops(pre);
-        ft_text = parser::write_qasm(synth::ft_synthesize(pre).circuit);
+        ft = synth::ft_synthesize(pre).circuit;
+        ft_text = parser::write_qasm(ft);
+        ft_openqasm = parser::write_openqasm(ft);
         path = (std::filesystem::temp_directory_path() /
                 ("leqa_microbench_gf2_" + std::to_string(spec.n) + ".ft.qasm"))
                    .string();
@@ -359,7 +341,9 @@ public:
 
     circuit::Circuit pre;
     std::size_t ft_ops = 0;
+    circuit::Circuit ft;
     std::string ft_text;
+    std::string ft_openqasm;
     std::string path;
 };
 
@@ -371,6 +355,15 @@ BENCHMARK_DEFINE_F(FrontEndFixture, BM_ParseQasm)(benchmark::State& state) {
     count_ft_ops(state);
 }
 BENCHMARK_REGISTER_F(FrontEndFixture, BM_ParseQasm)->Arg(16)->Arg(64)->Arg(128);
+
+BENCHMARK_DEFINE_F(FrontEndFixture, BM_ParseOpenQasm)(benchmark::State& state) {
+    for (auto _ : state) {
+        const auto parsed = parser::parse_openqasm(ft_openqasm);
+        benchmark::DoNotOptimize(parsed.size());
+    }
+    count_ft_ops(state);
+}
+BENCHMARK_REGISTER_F(FrontEndFixture, BM_ParseOpenQasm)->Arg(16)->Arg(64)->Arg(128);
 
 BENCHMARK_DEFINE_F(FrontEndFixture, BM_FtSynthesize)(benchmark::State& state) {
     for (auto _ : state) {
@@ -389,6 +382,24 @@ BENCHMARK_DEFINE_F(FrontEndFixture, BM_LoadNetlist)(benchmark::State& state) {
     count_ft_ops(state);
 }
 BENCHMARK_REGISTER_F(FrontEndFixture, BM_LoadNetlist)->Arg(16)->Arg(64)->Arg(128);
+
+BENCHMARK_DEFINE_F(FrontEndFixture, BM_QodgBuild)(benchmark::State& state) {
+    for (auto _ : state) {
+        const qodg::Qodg graph(ft);
+        benchmark::DoNotOptimize(graph.num_edges());
+    }
+    count_ft_ops(state);
+}
+BENCHMARK_REGISTER_F(FrontEndFixture, BM_QodgBuild)->Arg(16)->Arg(64)->Arg(128);
+
+BENCHMARK_DEFINE_F(FrontEndFixture, BM_IigBuild)(benchmark::State& state) {
+    for (auto _ : state) {
+        const iig::Iig iig(ft);
+        benchmark::DoNotOptimize(iig.num_edges());
+    }
+    count_ft_ops(state);
+}
+BENCHMARK_REGISTER_F(FrontEndFixture, BM_IigBuild)->Arg(16)->Arg(64)->Arg(128);
 
 } // namespace
 

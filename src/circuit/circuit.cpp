@@ -1,5 +1,6 @@
 #include "circuit/circuit.h"
 
+#include <functional>
 #include <sstream>
 
 #include "util/error.h"
@@ -46,10 +47,37 @@ Circuit::Circuit(std::size_t num_qubits, std::string name) : name_(std::move(nam
 Qubit Circuit::add_qubit(std::string_view name) {
     const auto index = static_cast<Qubit>(qubit_names_.size());
     std::string resolved = name.empty() ? "q" + std::to_string(index) : std::string(name);
-    LEQA_REQUIRE(qubit_lookup_.try_emplace(resolved, index).second,
-                 "duplicate qubit name: " + resolved);
+    if (2 * (qubit_names_.size() + 1) > qubit_index_.size()) {
+        grow_index(qubit_names_.size() + 1);
+    }
+    const std::size_t slot = probe(resolved);
+    LEQA_REQUIRE(qubit_index_[slot] == kNoQubit, "duplicate qubit name: " + resolved);
+    qubit_index_[slot] = index;
     qubit_names_.push_back(std::move(resolved));
     return index;
+}
+
+std::size_t Circuit::probe(std::string_view name) const {
+    const std::size_t mask = qubit_index_.size() - 1;
+    // FNV-1a over the name's bytes, folded by a multiplicative mix so the
+    // table's low bits depend on every byte.
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : name) hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    hash = (hash ^ (hash >> 32)) * 0x9e3779b97f4a7c15ULL;
+    for (std::size_t slot = static_cast<std::size_t>(hash >> 32) & mask;;
+         slot = (slot + 1) & mask) {
+        const Qubit q = qubit_index_[slot];
+        if (q == kNoQubit || qubit_names_[q] == name) return slot;
+    }
+}
+
+void Circuit::grow_index(std::size_t num_qubits) {
+    if (num_qubits == 0) return;
+    std::size_t size = 16;
+    while (size < 2 * num_qubits) size *= 2;
+    if (size <= qubit_index_.size()) return;
+    qubit_index_.assign(size, kNoQubit);
+    for (Qubit q = 0; q < qubit_names_.size(); ++q) qubit_index_[probe(qubit_names_[q])] = q;
 }
 
 const std::string& Circuit::qubit_name(Qubit q) const {
@@ -58,9 +86,10 @@ const std::string& Circuit::qubit_name(Qubit q) const {
 }
 
 std::optional<Qubit> Circuit::find_qubit(std::string_view name) const {
-    const auto it = qubit_lookup_.find(name);
-    if (it == qubit_lookup_.end()) return std::nullopt;
-    return it->second;
+    if (qubit_index_.empty()) return std::nullopt;
+    const Qubit q = qubit_index_[probe(name)];
+    if (q == kNoQubit) return std::nullopt;
+    return q;
 }
 
 Qubit Circuit::qubit_index(std::string_view name) const {
@@ -77,7 +106,7 @@ void Circuit::add_gate(Gate gate) {
 void Circuit::reserve(std::size_t num_gates, std::size_t num_qubits) {
     gates_.reserve(num_gates);
     qubit_names_.reserve(num_qubits);
-    qubit_lookup_.reserve(num_qubits);
+    grow_index(num_qubits);
 }
 
 Circuit& Circuit::x(Qubit q) { add_gate(make_x(q)); return *this; }

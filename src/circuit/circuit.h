@@ -4,12 +4,10 @@
 
 #include <array>
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "circuit/gate.h"
@@ -48,7 +46,8 @@ public:
     Qubit add_qubit(std::string_view name = "");
 
     [[nodiscard]] const std::string& qubit_name(Qubit q) const;
-    /// Index of a named qubit, or nullopt: one hashed, allocation-free lookup.
+    /// Index of a named qubit, or nullopt: one hashed, allocation-free probe
+    /// of an open-addressing table over the stored names.
     [[nodiscard]] std::optional<Qubit> find_qubit(std::string_view name) const;
     /// Index of a named qubit; throws InputError if absent.
     [[nodiscard]] Qubit qubit_index(std::string_view name) const;
@@ -119,17 +118,20 @@ public:
     [[nodiscard]] std::string to_string() const;
 
 private:
-    /// Transparent hash so lookups take a string_view without a copy.
-    struct NameHash {
-        using is_transparent = void;
-        std::size_t operator()(std::string_view name) const {
-            return std::hash<std::string_view>{}(name);
-        }
-    };
+    /// Marks an empty slot of the qubit index.
+    static constexpr Qubit kNoQubit = ~Qubit{0};
+
+    /// The index slot holding \p name, or the empty slot where it would go.
+    [[nodiscard]] std::size_t probe(std::string_view name) const;
+    /// Rebuild the qubit index for at least \p num_qubits names.
+    void grow_index(std::size_t num_qubits);
 
     std::string name_;
     std::vector<std::string> qubit_names_;
-    std::unordered_map<std::string, Qubit, NameHash, std::equal_to<>> qubit_lookup_;
+    /// Open-addressing (linear probing) index of qubit_names_: a
+    /// power-of-two table of qubit ids, kNoQubit where empty, kept at most
+    /// half full.  Names are stored once, in qubit_names_.
+    std::vector<Qubit> qubit_index_;
     std::vector<Gate> gates_;
     std::vector<std::string> comments_;
 };

@@ -36,7 +36,34 @@ const GateInfo& gate_info(GateKind kind) {
 std::string gate_name(GateKind kind) { return gate_info(kind).name; }
 
 std::optional<GateKind> find_gate_kind(std::string_view name) {
-    // Mnemonics are short: lower-case into a stack buffer, never the heap.
+    // Netlists spell the FT set in canonical lower case: a switch on length
+    // and first byte settles those without a table scan.
+    switch (name.size()) {
+        case 1:
+            switch (name[0]) {
+                case 'x': return GateKind::X;
+                case 'y': return GateKind::Y;
+                case 'z': return GateKind::Z;
+                case 'h': return GateKind::H;
+                case 's': return GateKind::S;
+                case 't': return GateKind::T;
+                default: break;
+            }
+            break;
+        case 2:
+            if (name == "cx") return GateKind::Cnot;
+            break;
+        case 3:
+            if (name == "tdg") return GateKind::Tdg;
+            if (name == "sdg") return GateKind::Sdg;
+            break;
+        case 4:
+            if (name == "cnot") return GateKind::Cnot;
+            break;
+        default: break;
+    }
+    // Anything else: lower-case into a stack buffer (mnemonics are short,
+    // never the heap) and compare against every name and alias.
     char lowered[8] = {};
     if (name.empty() || name.size() > sizeof(lowered)) return std::nullopt;
     for (std::size_t i = 0; i < name.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "util/error.h"
 
@@ -13,21 +14,36 @@ std::vector<std::uint32_t> CsrDigraph::in_degrees() const {
     return degrees;
 }
 
+CsrDigraph::CsrDigraph(std::vector<std::uint32_t> offsets, std::vector<NodeId> targets,
+                       bool topological)
+    : offsets_(std::move(offsets)), targets_(std::move(targets)), topological_(topological) {
+    // Structure only: a topological claim is checked edge by edge, but the
+    // acyclicity of other graphs (Kahn's algorithm, which allocates) is
+    // left to the caller — the QODG checks its transpose instead.
+    LEQA_DCHECK_OK(validate_csr(offsets_, targets_, topological_, /*acyclic=*/topological_));
+}
+
 CsrDigraph CsrDigraph::reversed() const {
     CsrDigraph rev;
     const std::size_t n = num_nodes();
+    // Counting transpose without a cursor array: offsets_[v] first counts
+    // v's in-edges, the inclusive prefix sum turns it into the end of v's
+    // row, and scattering sources in descending order walks each row's
+    // cursor back down to its start.  Each reversed row (the original's
+    // predecessor list) comes out ascending by id, which the lane-path
+    // recovery in qodg relies on for its tie-break.
     rev.offsets_.assign(n + 1, 0);
-    for (const NodeId v : targets_) ++rev.offsets_[v + 1];
-    for (std::size_t v = 0; v < n; ++v) rev.offsets_[v + 1] += rev.offsets_[v];
+    for (const NodeId v : targets_) ++rev.offsets_[v];
+    for (std::size_t v = 1; v <= n; ++v) rev.offsets_[v] += rev.offsets_[v - 1];
     rev.targets_.resize(targets_.size());
-    std::vector<std::uint32_t> cursor(rev.offsets_.begin(), rev.offsets_.end() - 1);
-    // Scanning sources in ascending order keeps each reversed successor
-    // list (= predecessor list of the original) ascending by id, which the
-    // lane-path recovery in qodg relies on for its tie-break.
-    for (NodeId u = 0; u < n; ++u) {
-        for (const NodeId v : successors(u)) rev.targets_[cursor[v]++] = u;
+    bool descending = true;
+    for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
+        for (const NodeId v : successors(u)) {
+            descending = descending && v < u;
+            rev.targets_[--rev.offsets_[v]] = u;
+        }
     }
-    rev.topological_ = num_edges() == 0 && topological_;
+    rev.topological_ = descending;
     return rev;
 }
 

@@ -6,7 +6,10 @@
 /// representation instead of per-module adjacency containers.  A
 /// `CsrBuilder` collects (from, to) pairs, merges parallel edges, and
 /// freezes them into two arrays (offsets + targets), after which traversal
-/// is cache-friendly pointer arithmetic.
+/// is cache-friendly pointer arithmetic.  Builders that already produce
+/// sorted, duplicate-free rows in node order (the QODG writes each gate's
+/// predecessors as it appends the gate) hand their arrays over directly
+/// and take the other direction from `reversed()`.
 ///
 /// The kernels below require a *topologically ordered* graph (every edge
 /// goes from a lower to a higher node id).  The builder records whether
@@ -29,6 +32,15 @@ class CsrBuilder;
 class CsrDigraph {
 public:
     CsrDigraph() = default;
+
+    /// Adopt ready-made CSR arrays: `offsets` has num_nodes + 1 entries
+    /// starting at 0 and ending at `targets.size()`; every row is ascending
+    /// and duplicate-free with no self loop; `topological` says whether every
+    /// edge goes low -> high.  The caller guarantees these invariants
+    /// (validate_csr checks them in debug builds, acyclicity only when
+    /// `topological` is claimed).
+    CsrDigraph(std::vector<std::uint32_t> offsets, std::vector<NodeId> targets,
+               bool topological);
 
     [[nodiscard]] std::size_t num_nodes() const {
         return offsets_.empty() ? 0 : offsets_.size() - 1;
@@ -55,11 +67,12 @@ public:
     /// Per-node in-degree (one O(|E|) pass).
     [[nodiscard]] std::vector<std::uint32_t> in_degrees() const;
 
-    /// The edge-reversed graph: `reversed().successors(v)` lists the
-    /// predecessors of `v`, ascending by id.  On a topologically ordered
-    /// graph the reverse edges all go high -> low, so the result reports
-    /// `topologically_ordered() == false` and must not be fed to the
-    /// order-dependent kernels below.
+    /// The edge-reversed graph (a counting transpose): `reversed().successors(v)`
+    /// lists the predecessors of `v`, ascending by id.  The result is
+    /// topologically ordered exactly when every edge here goes high -> low:
+    /// reversing a forward DAG gives a graph the order-dependent kernels
+    /// below must not be fed, and reversing a predecessor graph gives the
+    /// forward DAG back.
     [[nodiscard]] CsrDigraph reversed() const;
 
 private:

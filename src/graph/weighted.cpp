@@ -1,61 +1,61 @@
 #include "graph/weighted.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.h"
 
 namespace leqa::graph {
 
-WeightedUndigraph WeightedUndigraph::from_pairs(
-    std::size_t num_nodes, std::span<const std::pair<NodeId, NodeId>> pairs) {
+WeightedUndigraph WeightedUndigraph::from_buckets(std::span<const std::uint32_t> starts,
+                                                  std::span<const NodeId> upper) {
     WeightedUndigraph g;
+    const std::size_t num_nodes = starts.size() - 1;
 
-    // Canonicalize to packed (min << 32 | max) keys and sort: identical
-    // pairs become adjacent runs whose lengths are the edge weights.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(pairs.size());
-    for (const auto& [a, b] : pairs) {
-        LEQA_REQUIRE(a < num_nodes && b < num_nodes, "edge endpoint out of range");
-        LEQA_REQUIRE(a != b, "self loops are not representable");
-        const NodeId lo = std::min(a, b);
-        const NodeId hi = std::max(a, b);
-        keys.push_back((static_cast<std::uint64_t>(lo) << 32) | hi);
+    // where[j]: 1 + index into edges_ of the current bucket's edge to j.
+    // An index below the bucket's first edge belongs to an earlier bucket.
+    std::vector<std::uint32_t> where(num_nodes, 0);
+
+    // Count the distinct pairs first (where[] as a per-bucket stamp), so
+    // the edge list is allocated once.
+    std::size_t num_edges = 0;
+    for (NodeId i = 0; i < num_nodes; ++i) {
+        for (std::uint32_t e = starts[i]; e < starts[i + 1]; ++e) {
+            if (where[upper[e]] != i + 1) {
+                where[upper[e]] = i + 1;
+                ++num_edges;
+            }
+        }
     }
-    std::sort(keys.begin(), keys.end());
+    g.edges_.reserve(num_edges);
+    std::fill(where.begin(), where.end(), 0);
 
-    g.offsets_.assign(num_nodes + 1, 0);
+    // Run-length count each bucket straight into its edges (no sort of the
+    // pairs themselves), then order the bucket's few edges by j: buckets
+    // are visited by ascending lower endpoint, so the edge list comes out
+    // sorted by (i, j).  Per-node degree and adjacent weight accumulate as
+    // each bucket closes.
+    g.degree_.assign(num_nodes, 0);
     g.adjacent_weight_.assign(num_nodes, 0);
-
-    // Run-length encode into the unique edge list, accumulating per-node
-    // degree (into offsets_, shifted by one) and adjacent weight as we go.
-    for (std::size_t run = 0; run < keys.size();) {
-        std::size_t end = run + 1;
-        while (end < keys.size() && keys[end] == keys[run]) ++end;
-        const auto i = static_cast<NodeId>(keys[run] >> 32);
-        const auto j = static_cast<NodeId>(keys[run] & 0xFFFFFFFFULL);
-        const auto weight = static_cast<std::uint64_t>(end - run);
-        g.edges_.push_back(Edge{i, j, weight});
-        ++g.offsets_[i + 1];
-        ++g.offsets_[j + 1];
-        g.adjacent_weight_[i] += weight;
-        g.adjacent_weight_[j] += weight;
-        run = end;
-    }
-
-    for (std::size_t u = 0; u < num_nodes; ++u) g.offsets_[u + 1] += g.offsets_[u];
-
-    // Scatter the symmetric adjacency.  Edges are sorted by (i, j), so each
-    // node's neighbor slice comes out ascending without a second sort: the
-    // i-side fills in j-ascending order, and the j-side entries (neighbors
-    // below the node) are appended before any i-side ones (neighbors above).
-    g.neighbors_.resize(2 * g.edges_.size());
-    g.weights_.resize(2 * g.edges_.size());
-    std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-    for (const Edge& e : g.edges_) {
-        g.neighbors_[cursor[e.i]] = e.j;
-        g.weights_[cursor[e.i]++] = e.weight;
-        g.neighbors_[cursor[e.j]] = e.i;
-        g.weights_[cursor[e.j]++] = e.weight;
+    for (NodeId i = 0; i < num_nodes; ++i) {
+        const std::size_t first = g.edges_.size();
+        for (std::uint32_t e = starts[i]; e < starts[i + 1]; ++e) {
+            const NodeId j = upper[e];
+            if (where[j] <= first) {
+                g.edges_.push_back(Edge{i, j, 0});
+                where[j] = static_cast<std::uint32_t>(g.edges_.size());
+            }
+            ++g.edges_[where[j] - 1].weight;
+        }
+        const auto bucket = g.edges_.begin() + static_cast<std::ptrdiff_t>(first);
+        std::sort(bucket, g.edges_.end(),
+                  [](const Edge& a, const Edge& b) { return a.j < b.j; });
+        for (auto it = bucket; it != g.edges_.end(); ++it) {
+            ++g.degree_[it->i];
+            ++g.degree_[it->j];
+            g.adjacent_weight_[it->i] += it->weight;
+            g.adjacent_weight_[it->j] += it->weight;
+        }
     }
     return g;
 }
@@ -63,10 +63,14 @@ WeightedUndigraph WeightedUndigraph::from_pairs(
 std::uint64_t WeightedUndigraph::weight_between(NodeId a, NodeId b) const {
     LEQA_REQUIRE(a < num_nodes() && b < num_nodes(), "node out of range");
     LEQA_REQUIRE(a != b, "self loops are not representable");
-    const auto hood = neighbors(a);
-    const auto it = std::lower_bound(hood.begin(), hood.end(), b);
-    if (it == hood.end() || *it != b) return 0;
-    return neighbor_weights(a)[static_cast<std::size_t>(it - hood.begin())];
+    const NodeId i = std::min(a, b);
+    const NodeId j = std::max(a, b);
+    const auto it = std::lower_bound(
+        edges_.begin(), edges_.end(), std::pair{i, j},
+        [](const Edge& e, const std::pair<NodeId, NodeId>& key) {
+            return e.i < key.first || (e.i == key.first && e.j < key.second);
+        });
+    return it != edges_.end() && it->i == i && it->j == j ? it->weight : 0;
 }
 
 } // namespace leqa::graph

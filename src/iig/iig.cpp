@@ -2,28 +2,26 @@
 
 #include <span>
 #include <sstream>
-#include <utility>
 
 #include "util/error.h"
 
 namespace leqa::iig {
 
 Iig::Iig(const circuit::Circuit& circ) {
-    // One pass over the gates collects the interacting endpoint pairs; the
-    // flat graph build then produces the unique edge list and the per-qubit
-    // M_i / W_i arrays in one sort + scan.
-    std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
-    pairs.reserve(circ.size());
-    for (const circuit::Gate& gate : circ.gates()) {
-        const std::span<const circuit::Qubit> qubits = gate.qubits();
-        if (qubits.size() < 2) continue;
-        for (std::size_t a = 0; a < qubits.size(); ++a) {
-            for (std::size_t b = a + 1; b < qubits.size(); ++b) {
-                pairs.emplace_back(qubits[a], qubits[b]);
+    // The flat graph build streams the interacting endpoint pairs straight
+    // from the gate list (twice: count, then bucket), so no pair list is
+    // ever materialized.
+    graph_ = graph::WeightedUndigraph::from_pairs(circ.num_qubits(), [&](auto&& emit) {
+        for (const circuit::Gate& gate : circ.gates()) {
+            const std::span<const circuit::Qubit> qubits = gate.qubits();
+            if (qubits.size() < 2) continue;
+            for (std::size_t a = 0; a < qubits.size(); ++a) {
+                for (std::size_t b = a + 1; b < qubits.size(); ++b) {
+                    emit(qubits[a], qubits[b]);
+                }
             }
         }
-    }
-    graph_ = graph::WeightedUndigraph::from_pairs(circ.num_qubits(), pairs);
+    });
 }
 
 std::size_t Iig::degree(circuit::Qubit q) const {

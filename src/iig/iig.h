@@ -12,9 +12,10 @@
 /// mean of B_i (Eq. 7).
 ///
 /// The edge store is a flat `graph::WeightedUndigraph` (see
-/// graph/weighted.h): endpoint pairs are collected in one pass over the
-/// circuit and frozen into a sorted edge list plus CSR adjacency, with the
-/// per-qubit statistics (M_i, W_i) coming out as arrays — no hash map.
+/// graph/weighted.h): endpoint pairs stream from the gate list into
+/// buckets keyed by their lower qubit and are run-length counted into a
+/// sorted edge list, with the per-qubit statistics (M_i, W_i) coming out
+/// as arrays — no pair list, no global sort, no hash map.
 ///
 /// The builder accepts any circuit; gates touching two qubits contribute
 /// weight 1 to their pair.  Gates touching three or more qubits (permitted

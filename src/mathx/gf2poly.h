@@ -69,10 +69,13 @@ private:
 /// x^n + x^t3 + x^t2 + x^t1 + 1 is irreducible, if any (n >= 4).
 [[nodiscard]] std::optional<std::vector<int>> find_irreducible_pentanomial(int n);
 
-/// Middle exponents (descending, excluding n and 0) of a cached irreducible
-/// polynomial of degree n: 1 entry (trinomial) when force_pentanomial is
-/// false and one exists, else 3 entries (pentanomial).  Throws InputError
-/// when neither exists.
+/// Middle exponents (descending, excluding n and 0) of an irreducible
+/// polynomial of degree n: 1 entry (the smallest trinomial) when
+/// force_pentanomial is false and one exists, else 3 entries (the
+/// lexicographically smallest pentanomial).  Degrees 2..256 come from a
+/// checked-in table generated by the searches above; larger degrees run
+/// the search once per process and cache it.  Throws InputError when
+/// neither form exists (or, for a forced pentanomial, when n < 4).
 [[nodiscard]] std::vector<int> irreducible_middle_terms(int n, bool force_pentanomial);
 
 } // namespace leqa::mathx

@@ -1,10 +1,9 @@
 #include "parser/openqasm.h"
 
 #include <algorithm>
-#include <cctype>
-#include <initializer_list>
+#include <cstdint>
+#include <cstring>
 #include <map>
-#include <optional>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -16,54 +15,119 @@ namespace leqa::parser {
 
 namespace {
 
-/// A ';'-terminated statement with the line it started on.  Comments are
-/// dropped and newlines become spaces, so a statement may span lines.
+/// A ';'-terminated statement: a view from its first to its last
+/// non-blank character, and the line that first character is on.
 struct Statement {
-    std::string text;
+    std::string_view text;
     std::size_t line = 0;
 };
 
-bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+/// Finds statements one at a time as views into the text.  A statement
+/// may span lines and hold "//" comments; the few that hold a newline or a
+/// comment between two of their fields are folded into a reused buffer
+/// (comments dropped, newlines as spaces), so their fields and diagnostics
+/// read as if written on one line.
+class StatementScanner {
+public:
+    /// Throws ParseError at once when the text ends inside a statement, so
+    /// that diagnostic precedes those of any earlier statement.
+    StatementScanner(std::string_view text, const std::string& source_name)
+        : pos_(text.data()), end_(text.data() + text.size()), source_name_(source_name) {
+        // Only the text after the last ';' outside a comment can be an
+        // unterminated statement; scan just that tail, counting its lines.
+        const char* tail = text.data();
+        for (std::size_t cut = text.size(); cut > 0;) {
+            const std::size_t semicolon = text.rfind(';', cut - 1);
+            if (semicolon == std::string_view::npos) break;
+            const std::size_t newline = text.rfind('\n', semicolon);
+            const std::size_t line_start = newline == std::string_view::npos ? 0 : newline + 1;
+            const std::size_t comment =
+                text.substr(line_start, semicolon - line_start).find("//");
+            if (comment == std::string_view::npos) {
+                tail = text.data() + semicolon + 1;
+                break;
+            }
+            cut = line_start + comment; // that ';' is commented out
+        }
+        const char* const begin = pos_;
+        pos_ = tail;
+        line_ = 1 + static_cast<std::size_t>(std::count(begin, tail, '\n'));
+        Statement unused;
+        (void)next(unused); // blank tail: false; anything else throws
+        pos_ = begin;
+        line_ = 1;
+    }
 
-std::vector<Statement> split_statements(std::string_view text,
-                                        const std::string& source_name) {
-    std::vector<Statement> statements;
-    std::string current;
-    bool current_blank = true; // `current` holds only whitespace so far
-    std::size_t line = 1;
-    std::size_t statement_line = 1;
-    bool in_comment = false;
-    for (std::size_t i = 0; i < text.size(); ++i) {
-        const char c = text[i];
-        if (c == '\n') {
-            ++line;
-            in_comment = false;
-            current += ' ';
-            continue;
+    /// The next non-blank statement, or false once the text is used up.
+    /// Throws ParseError when the text ends inside a statement.
+    bool next(Statement& out) {
+        for (;;) {
+            const char* first = nullptr; // first non-blank character
+            const char* last = nullptr;  // one past the last one
+            bool broken = false;         // newline or comment after `first`
+            bool folded = false;         // ... followed by more content
+            std::size_t first_line = line_;
+            while (pos_ < end_ && *pos_ != ';') {
+                const char c = *pos_;
+                if (c == '\n') {
+                    ++line_;
+                    broken = first != nullptr;
+                } else if (c == '/' && end_ - pos_ > 1 && pos_[1] == '/') {
+                    pos_ = line_end(pos_);
+                    broken = first != nullptr;
+                    continue;
+                } else if (!util::is_space(c)) {
+                    if (first == nullptr) {
+                        first = pos_;
+                        first_line = line_;
+                    }
+                    folded = folded || broken;
+                    broken = false;
+                    last = pos_ + 1;
+                }
+                ++pos_;
+            }
+            if (pos_ == end_) {
+                if (first == nullptr) return false;
+                throw ParseError({source_name_, first_line},
+                                 "statement not terminated by ';': '" +
+                                     std::string(fold(first, last)) + "'");
+            }
+            ++pos_; // past the ';'
+            if (first == nullptr) continue; // blank statement
+            out.line = first_line;
+            out.text = folded ? fold(first, last)
+                              : std::string_view(first, static_cast<std::size_t>(last - first));
+            return true;
         }
-        if (in_comment) continue;
-        if (c == '/' && i + 1 < text.size() && text[i + 1] == '/') {
-            in_comment = true;
-            ++i;
-            continue;
-        }
-        if (c == ';') {
-            if (!current_blank) statements.push_back({util::trim(current), statement_line});
-            current.clear();
-            current_blank = true;
-            statement_line = line;
-            continue;
-        }
-        if (current_blank) statement_line = line;
-        current_blank = current_blank && is_space(c);
-        current += c;
     }
-    if (!current_blank) {
-        throw ParseError({source_name, statement_line},
-                         "statement not terminated by ';': '" + util::trim(current) + "'");
+
+private:
+    /// The newline ending the line \p from is on, or the end of the text.
+    const char* line_end(const char* from) const {
+        const void* newline = std::memchr(from, '\n', static_cast<std::size_t>(end_ - from));
+        return newline == nullptr ? end_ : static_cast<const char*>(newline);
     }
-    return statements;
-}
+
+    /// [first, last) with comments dropped and newlines as spaces.
+    std::string_view fold(const char* first, const char* last) {
+        folded_.clear();
+        for (const char* p = first; p < last; ++p) {
+            if (*p == '/' && last - p > 1 && p[1] == '/') {
+                p = line_end(p) - 1; // the newline is folded next
+            } else {
+                folded_ += *p == '\n' ? ' ' : *p;
+            }
+        }
+        return folded_;
+    }
+
+    const char* pos_;
+    const char* end_;
+    std::size_t line_ = 1;
+    const std::string& source_name_;
+    std::string folded_;
+};
 
 /// Operand: reg[index].
 struct Operand {
@@ -89,27 +153,80 @@ Operand parse_operand(std::string_view token, const SourceLoc& loc) {
     return operand;
 }
 
-/// True if \p head (any case) is one of \p words.
-bool is_one_of(std::string_view head, std::initializer_list<std::string_view> words) {
-    return std::any_of(words.begin(), words.end(),
-                       [&](std::string_view word) { return util::iequals(head, word); });
-}
+/// What a statement's first field makes it.
+enum class Head : std::uint8_t {
+    Header,      ///< OPENQASM
+    Ignored,     ///< include, creg, barrier, id
+    Unsupported, ///< measure, reset, if, gate, u*, r*, cu1
+    Qreg,
+    Gate,
+    Unknown,
+};
 
-/// Gate mnemonics of the subset, matched case-insensitively.
-std::optional<circuit::GateKind> find_openqasm_gate(std::string_view head) {
-    static constexpr std::pair<std::string_view, circuit::GateKind> kGates[] = {
-        {"x", circuit::GateKind::X},       {"y", circuit::GateKind::Y},
-        {"z", circuit::GateKind::Z},       {"h", circuit::GateKind::H},
-        {"s", circuit::GateKind::S},       {"sdg", circuit::GateKind::Sdg},
-        {"t", circuit::GateKind::T},       {"tdg", circuit::GateKind::Tdg},
-        {"cx", circuit::GateKind::Cnot},   {"cnot", circuit::GateKind::Cnot},
-        {"ccx", circuit::GateKind::Toffoli},
-        {"swap", circuit::GateKind::Swap}, {"cswap", circuit::GateKind::Fredkin},
-    };
-    for (const auto& [name, kind] : kGates) {
-        if (util::iequals(head, name)) return kind;
+struct HeadClass {
+    Head head = Head::Unknown;
+    circuit::GateKind kind = circuit::GateKind::X; ///< for Head::Gate
+};
+
+/// Classify a statement's first field, case-insensitively: a switch on
+/// length and first byte, then one comparison per candidate word.
+HeadClass classify_head(std::string_view field) {
+    char lowered[8] = {};
+    if (field.empty() || field.size() > sizeof(lowered)) return {};
+    for (std::size_t i = 0; i < field.size(); ++i) {
+        const char c = field[i];
+        lowered[i] = c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
     }
-    return std::nullopt;
+    const std::string_view key(lowered, field.size());
+    using circuit::GateKind;
+    const auto gate = [](GateKind kind) { return HeadClass{Head::Gate, kind}; };
+    const HeadClass unsupported{Head::Unsupported};
+    switch (key.size()) {
+        case 1:
+            switch (key[0]) {
+                case 'x': return gate(GateKind::X);
+                case 'y': return gate(GateKind::Y);
+                case 'z': return gate(GateKind::Z);
+                case 'h': return gate(GateKind::H);
+                case 's': return gate(GateKind::S);
+                case 't': return gate(GateKind::T);
+                case 'u': return unsupported;
+                default: return {};
+            }
+        case 2:
+            if (key == "cx") return gate(GateKind::Cnot);
+            if (key == "id") return {Head::Ignored};
+            if (key == "if" || key == "u1" || key == "u2" || key == "u3" || key == "rx" ||
+                key == "ry" || key == "rz") {
+                return unsupported;
+            }
+            return {};
+        case 3:
+            if (key == "tdg") return gate(GateKind::Tdg);
+            if (key == "sdg") return gate(GateKind::Sdg);
+            if (key == "ccx") return gate(GateKind::Toffoli);
+            if (key == "cu1") return unsupported;
+            return {};
+        case 4:
+            if (key == "cnot") return gate(GateKind::Cnot);
+            if (key == "swap") return gate(GateKind::Swap);
+            if (key == "qreg") return {Head::Qreg};
+            if (key == "creg") return {Head::Ignored};
+            if (key == "gate") return unsupported;
+            return {};
+        case 5:
+            if (key == "cswap") return gate(GateKind::Fredkin);
+            if (key == "reset") return unsupported;
+            return {};
+        case 7:
+            if (key == "include" || key == "barrier") return {Head::Ignored};
+            if (key == "measure") return unsupported;
+            return {};
+        case 8:
+            if (key == "openqasm") return {Head::Header};
+            return {};
+        default: return {};
+    }
 }
 
 } // namespace
@@ -134,6 +251,10 @@ circuit::Circuit parse_openqasm(std::string_view text, const std::string& source
     bool saw_header = false;
 
     const auto resolve = [&](std::string_view token, const SourceLoc& loc) -> circuit::Qubit {
+        // Every declared qubit is named "reg[i]", so a token written that
+        // way is one probe of the circuit's qubit index.  Other spellings
+        // ("q[01]", "q [1]") and errors take the register table.
+        if (const auto q = circ.find_qubit(token)) return *q;
         const Operand operand = parse_operand(token, loc);
         const auto it = registers.find(operand.reg);
         if (it == registers.end()) {
@@ -147,25 +268,26 @@ circuit::Circuit parse_openqasm(std::string_view text, const std::string& source
     };
 
     std::vector<circuit::Qubit> qubits; // reused by every gate statement
-    for (const Statement& statement : split_statements(text, source_name)) {
-        const SourceLoc loc{source_name, statement.line};
+    std::string qubit_name;              // reused by every qreg statement
+    StatementScanner scanner(text, source_name);
+    SourceLoc loc{source_name, 0}; // one copy of the name, not one per statement
+    for (Statement statement; scanner.next(statement);) {
+        loc.line = statement.line;
         std::string_view rest = statement.text;
         const std::string_view head = util::next_field(rest);
+        const HeadClass what = classify_head(head);
 
-        if (util::iequals(head, "openqasm")) {
+        if (what.head == Head::Header) {
             saw_header = true;
             continue;
         }
         if (!saw_header) throw ParseError(loc, "missing OPENQASM 2.0 declaration");
-        if (is_one_of(head, {"include", "creg", "barrier", "id"})) {
-            continue; // accepted, irrelevant to the latency model
-        }
-        if (is_one_of(head, {"measure", "reset", "if", "gate", "u", "u1", "u2", "u3", "rx",
-                             "ry", "rz", "cu1"})) {
+        if (what.head == Head::Ignored) continue; // irrelevant to the latency model
+        if (what.head == Head::Unsupported) {
             throw ParseError(loc, "unsupported OpenQASM construct '" + std::string(head) +
                                       "' (LEQA consumes FT Clifford+T netlists)");
         }
-        if (util::iequals(head, "qreg")) {
+        if (what.head == Head::Qreg) {
             const std::string_view declaration = util::next_field(rest);
             if (declaration.empty() || !util::next_field(rest).empty()) {
                 throw ParseError(loc, "qreg expects one declaration");
@@ -179,15 +301,21 @@ circuit::Circuit parse_openqasm(std::string_view text, const std::string& source
             }
             const auto base = static_cast<circuit::Qubit>(circ.num_qubits());
             for (long long i = 0; i < decl.index; ++i) {
-                circ.add_qubit(std::string(decl.reg) + "[" + std::to_string(i) + "]");
+                qubit_name.assign(decl.reg);
+                qubit_name += '[';
+                qubit_name += std::to_string(i);
+                qubit_name += ']';
+                circ.add_qubit(qubit_name);
             }
             registers.emplace(std::string(decl.reg), std::make_pair(base, decl.index));
             continue;
         }
 
         // Gate application: mnemonic operand-list.
-        const auto kind = find_openqasm_gate(head);
-        if (!kind) throw ParseError(loc, "unknown gate '" + std::string(head) + "'");
+        if (what.head != Head::Gate) {
+            throw ParseError(loc, "unknown gate '" + std::string(head) + "'");
+        }
+        const circuit::GateKind kind = what.kind;
         qubits.clear();
         while (!rest.empty()) {
             const std::size_t comma = std::min(rest.find(','), rest.size());
@@ -196,11 +324,11 @@ circuit::Circuit parse_openqasm(std::string_view text, const std::string& source
             if (!token.empty()) qubits.push_back(resolve(token, loc));
         }
 
-        const circuit::GateInfo& info = circuit::gate_info(*kind);
+        const circuit::GateInfo& info = circuit::gate_info(kind);
         // ccx: 2 controls; cswap: 1 control; others: min_controls.
         const std::size_t needed =
             static_cast<std::size_t>(info.targets) +
-            (*kind == circuit::GateKind::Toffoli
+            (kind == circuit::GateKind::Toffoli
                  ? 2
                  : static_cast<std::size_t>(std::max(info.min_controls, 0)));
         if (qubits.size() != needed) {
@@ -210,7 +338,7 @@ circuit::Circuit parse_openqasm(std::string_view text, const std::string& source
         }
         const std::span<const circuit::Qubit> all(qubits);
         try {
-            circ.add_gate(circuit::Gate(*kind, all.first(needed - info.targets),
+            circ.add_gate(circuit::Gate(kind, all.first(needed - info.targets),
                                         all.last(info.targets)));
         } catch (const util::InputError& e) {
             throw ParseError(loc, e.what());

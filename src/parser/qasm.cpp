@@ -1,7 +1,9 @@
 #include "parser/qasm.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <cstdint>
+#include <cstring>
 #include <span>
 #include <sstream>
 
@@ -12,31 +14,81 @@ namespace leqa::parser {
 
 namespace {
 
-/// The line up to its first "#"- or "//"-style comment.
-std::string_view strip_comment(std::string_view line) {
-    return line.substr(0, std::min(line.find('#'), line.find("//")));
-}
+/// Byte classes of the line scanner: whitespace (exactly the set
+/// util::is_space accepts), the operand comma, and the bytes that may end
+/// a line's content ('\n', '#', and '/' when another '/' follows).
+enum ByteClass : std::uint8_t { kField = 0, kSpace = 1, kComma = 2, kStop = 4 };
 
-/// Pop the next gate operand off \p rest: operands are separated by commas
-/// and/or whitespace.  Empty once none is left.
-std::string_view next_operand(std::string_view& rest) {
-    const auto is_separator = [](char c) {
-        return c == ',' || std::isspace(static_cast<unsigned char>(c)) != 0;
-    };
-    std::size_t i = 0;
-    while (i < rest.size() && is_separator(rest[i])) ++i;
-    const std::size_t begin = i;
-    while (i < rest.size() && !is_separator(rest[i])) ++i;
-    const std::string_view operand = rest.substr(begin, i - begin);
-    rest.remove_prefix(i);
-    return operand;
-}
+constexpr std::array<std::uint8_t, 256> kByteClass = [] {
+    std::array<std::uint8_t, 256> table{};
+    for (std::size_t c = 0; c < table.size(); ++c) {
+        if (util::is_space(static_cast<char>(c))) table[c] = kSpace;
+    }
+    table[static_cast<unsigned char>(',')] = kComma;
+    table[static_cast<unsigned char>('\n')] = kStop;
+    table[static_cast<unsigned char>('#')] = kStop;
+    table[static_cast<unsigned char>('/')] = kStop;
+    return table;
+}();
+
+/// Cursor over QASM text that hands out the fields of one line at a time.
+/// A line's content ends at the first newline, "#" or "//", found by the
+/// same scan that splits the fields, so each byte of a line is classified
+/// once.
+class LineScanner {
+public:
+    explicit LineScanner(std::string_view text)
+        : pos_(text.data()), end_(text.data() + text.size()) {}
+
+    /// Move to the start of the next line (the first one on the first
+    /// call), past whatever is left of the current one; false once the text
+    /// is used up.
+    bool next_line() {
+        if (started_) {
+            const void* newline =
+                std::memchr(pos_, '\n', static_cast<std::size_t>(end_ - pos_));
+            pos_ = newline == nullptr ? end_ : static_cast<const char*>(newline) + 1;
+        }
+        started_ = true;
+        return pos_ != end_;
+    }
+
+    /// Next field of the line's content: separated by whitespace, and also
+    /// by commas when \p commas is set (gate operands).  Empty once none is
+    /// left on the line.
+    std::string_view next(bool commas) {
+        const std::uint8_t separators = commas ? kSpace | kComma : kSpace;
+        while (pos_ != end_ && (byte_class() & separators) != 0) ++pos_;
+        const char* begin = pos_;
+        for (; pos_ != end_; ++pos_) {
+            const std::uint8_t cls = byte_class();
+            if (cls == kField) continue;
+            if ((cls & separators) != 0 || (cls == kStop && ends_content())) break;
+        }
+        return {begin, static_cast<std::size_t>(pos_ - begin)};
+    }
+
+private:
+    [[nodiscard]] std::uint8_t byte_class() const {
+        return kByteClass[static_cast<unsigned char>(*pos_)];
+    }
+
+    /// True when the stop byte at pos_ ends the content: a lone '/' is an
+    /// ordinary field byte.
+    [[nodiscard]] bool ends_content() const {
+        return *pos_ != '/' || (end_ - pos_ > 1 && pos_[1] == '/');
+    }
+
+    const char* pos_;
+    const char* end_;
+    bool started_ = false;
+};
 
 /// The single argument of a directive or declaration, or empty when there
 /// is not exactly one.
-std::string_view single_argument(std::string_view rest) {
-    const std::string_view argument = util::next_field(rest);
-    return util::next_field(rest).empty() ? argument : std::string_view();
+std::string_view single_argument(LineScanner& line) {
+    const std::string_view argument = line.next(/*commas=*/false);
+    return line.next(/*commas=*/false).empty() ? argument : std::string_view();
 }
 
 } // namespace
@@ -49,19 +101,14 @@ circuit::Circuit parse_qasm(std::string_view text, const std::string& source_nam
     bool qubits_declared = false;
     std::vector<circuit::Qubit> operands; // reused by every gate line
 
-    for (std::size_t pos = 0; pos < text.size();) {
-        const std::size_t newline = std::min(text.find('\n', pos), text.size());
-        const std::string_view raw_line = text.substr(pos, newline - pos);
-        pos = newline + 1;
+    LineScanner line(text);
+    while (line.next_line()) {
         ++loc.line;
-        const std::string_view line = util::trim_view(strip_comment(raw_line));
-        if (line.empty()) continue;
+        const std::string_view head = line.next(/*commas=*/false);
+        if (head.empty()) continue;
 
-        std::string_view rest = line;
-        const std::string_view head = util::next_field(rest);
-
-        if (line[0] == '.') {
-            const std::string_view argument = single_argument(rest);
+        if (head[0] == '.') {
+            const std::string_view argument = single_argument(line);
             if (util::iequals(head, ".name")) {
                 if (argument.empty()) throw ParseError(loc, ".name expects one argument");
                 circ.set_name(std::string(argument));
@@ -82,8 +129,12 @@ circuit::Circuit parse_qasm(std::string_view text, const std::string& source_nam
             continue;
         }
 
-        if (util::iequals(head, "qubit")) {
-            const std::string_view name = single_argument(rest);
+        const auto kind = circuit::find_gate_kind(head);
+        if (!kind) {
+            if (!util::iequals(head, "qubit")) {
+                throw ParseError(loc, "unknown gate or keyword '" + std::string(head) + "'");
+            }
+            const std::string_view name = single_argument(line);
             if (name.empty()) throw ParseError(loc, "qubit expects one name");
             if (!util::is_identifier(name)) {
                 throw ParseError(loc, "invalid qubit name '" + std::string(name) + "'");
@@ -96,13 +147,9 @@ circuit::Circuit parse_qasm(std::string_view text, const std::string& source_nam
             continue;
         }
 
-        const auto kind = circuit::find_gate_kind(head);
-        if (!kind) {
-            throw ParseError(loc, "unknown gate or keyword '" + std::string(head) + "'");
-        }
         operands.clear();
-        for (std::string_view token = next_operand(rest); !token.empty();
-             token = next_operand(rest)) {
+        for (std::string_view token = line.next(/*commas=*/true); !token.empty();
+             token = line.next(/*commas=*/true)) {
             const auto q = circ.find_qubit(token);
             if (!q) throw ParseError(loc, "unknown qubit '" + std::string(token) + "'");
             operands.push_back(*q);

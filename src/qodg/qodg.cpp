@@ -8,85 +8,114 @@
 
 namespace leqa::qodg {
 
+namespace {
+
+constexpr auto kZeroRow = static_cast<std::uint16_t>(circuit::kGateKindCount);
+
+/// Sort and deduplicate \p ids from index \p row on (one CSR row).
+void sort_unique_row(std::vector<NodeId>& ids, std::size_t row) {
+    const auto first = ids.begin() + static_cast<std::ptrdiff_t>(row);
+    std::sort(first, ids.end());
+    ids.erase(std::unique(first, ids.end()), ids.end());
+}
+
+} // namespace
+
 Qodg::Qodg(const circuit::Circuit& circ) {
     const std::vector<circuit::Gate>& gates = circ.gates();
     const std::size_t n_gates = gates.size();
-    nodes_.reserve(n_gates + 2);
+    const std::size_t n = n_gates + 2;
+    const NodeId end_id = static_cast<NodeId>(n - 1);
 
-    nodes_.push_back(Node{NodeKind::Start, 0, circuit::GateKind::X});
-    for (std::size_t i = 0; i < n_gates; ++i) {
-        nodes_.push_back(Node{NodeKind::Op, i, gates[i].kind()});
-    }
-    nodes_.push_back(Node{NodeKind::End, 0, circuit::GateKind::X});
-    const NodeId end_id = end();
+    delay_row_.resize(n);
+    delay_row_[start()] = kZeroRow;
+    delay_row_[end_id] = kZeroRow;
 
-    graph::CsrBuilder builder(nodes_.size());
-    builder.reserve_edges(2 * n_gates + circ.num_qubits() + 1);
+    // Predecessor CSR, appended in program order: row v lists v's
+    // last-writer predecessors, deduplicated (a CNOT feeding both operands
+    // of the next CNOT is one edge) and ascending.  FT gates touch at most
+    // two qubits, so the reservation covers every FT circuit exactly.
+    std::vector<std::uint32_t> offsets(n + 1);
+    std::vector<NodeId> preds;
+    preds.reserve(2 * n_gates + circ.num_qubits() + 1);
 
     // Last QODG node that touched each qubit (start initially).
     std::vector<NodeId> last(circ.num_qubits(), start());
 
     for (std::size_t i = 0; i < n_gates; ++i) {
         const NodeId me = static_cast<NodeId>(i + 1);
-        const std::span<const circuit::Qubit> qubits = gates[i].qubits();
-        // Parallel edges (a CNOT feeding both operands of another CNOT) are
-        // merged by the builder at freeze time.
-        for (const circuit::Qubit q : qubits) builder.add_edge(last[q], me);
+        const circuit::Gate& gate = gates[i];
+        const std::span<const circuit::Qubit> qubits = gate.qubits();
+        delay_row_[me] = static_cast<std::uint16_t>(gate.kind());
+        if (qubits.size() == 1) {
+            preds.push_back(last[qubits[0]]);
+        } else if (qubits.size() == 2) {
+            const NodeId a = last[qubits[0]];
+            const NodeId b = last[qubits[1]];
+            preds.push_back(std::min(a, b));
+            if (a != b) preds.push_back(std::max(a, b));
+        } else {
+            const std::size_t row = preds.size();
+            for (const circuit::Qubit q : qubits) preds.push_back(last[q]);
+            sort_unique_row(preds, row);
+        }
         for (const circuit::Qubit q : qubits) last[q] = me;
+        offsets[me + 1] = static_cast<std::uint32_t>(preds.size());
     }
 
-    // Connect all last-level nodes (and untouched qubits' start) to end;
-    // duplicates merge at freeze time.
-    if (circ.num_qubits() == 0) {
-        builder.add_edge(start(), end_id);
+    // The end node follows every qubit's last writer (start for untouched
+    // qubits, and for a circuit without qubits).
+    const std::size_t end_row = preds.size();
+    if (last.empty()) {
+        preds.push_back(start());
     } else {
-        for (const NodeId t : last) builder.add_edge(t, end_id);
+        preds.insert(preds.end(), last.begin(), last.end());
+        sort_unique_row(preds, end_row);
     }
+    offsets[n] = static_cast<std::uint32_t>(preds.size());
 
-    csr_ = builder.build(/*merge_parallel=*/true);
-    rcsr_ = csr_.reversed();
+    preds_ = graph::CsrDigraph(std::move(offsets), std::move(preds), /*topological=*/false);
+    csr_ = preds_.reversed();
     // Debug stage-boundary contract: the frozen QODG is a clean,
     // topologically ordered DAG (compiled out of Release).
     LEQA_DCHECK_OK(graph::validate_csr(csr_));
+}
 
-    constexpr auto kZeroRow = static_cast<std::uint16_t>(circuit::kGateKindCount);
-    delay_row_.assign(nodes_.size(), kZeroRow);
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        if (nodes_[id].kind == NodeKind::Op) {
-            delay_row_[id] = static_cast<std::uint16_t>(nodes_[id].gate_kind);
-        }
-    }
+void Qodg::check_node(NodeId id) const {
+    LEQA_REQUIRE(id < delay_row_.size(), "QODG node id out of range");
+}
+
+Node Qodg::node(NodeId id) const {
+    check_node(id);
+    if (id == start()) return Node{NodeKind::Start, 0, circuit::GateKind::X};
+    if (id == end()) return Node{NodeKind::End, 0, circuit::GateKind::X};
+    return Node{NodeKind::Op, static_cast<std::size_t>(id) - 1,
+                static_cast<circuit::GateKind>(delay_row_[id])};
 }
 
 NodeId Qodg::node_of_gate(std::size_t gate_index) const {
-    LEQA_REQUIRE(gate_index < nodes_.size() - 2, "gate index out of range");
+    LEQA_REQUIRE(gate_index < num_ops(), "gate index out of range");
     return static_cast<NodeId>(gate_index + 1);
 }
 
 std::vector<double> Qodg::node_delays(
     const std::function<double(circuit::GateKind)>& delay_of) const {
-    std::vector<double> delays(nodes_.size(), 0.0);
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        if (nodes_[id].kind == NodeKind::Op) {
-            delays[id] = delay_of(nodes_[id].gate_kind);
-        }
+    std::vector<double> delays(num_nodes(), 0.0);
+    for (NodeId id = 1; id < end(); ++id) {
+        delays[id] = delay_of(static_cast<circuit::GateKind>(delay_row_[id]));
     }
     return delays;
 }
 
 std::vector<double> Qodg::node_delays(
     const std::array<double, circuit::kGateKindCount>& delay_by_kind) const {
-    std::vector<double> delays(nodes_.size(), 0.0);
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        if (nodes_[id].kind == NodeKind::Op) {
-            delays[id] = delay_by_kind[static_cast<std::size_t>(nodes_[id].gate_kind)];
-        }
-    }
+    std::vector<double> delays(num_nodes(), 0.0);
+    for (NodeId id = 1; id < end(); ++id) delays[id] = delay_by_kind[delay_row_[id]];
     return delays;
 }
 
 LongestPath Qodg::longest_path(const std::vector<double>& delays) const {
-    LEQA_REQUIRE(delays.size() == nodes_.size(),
+    LEQA_REQUIRE(delays.size() == num_nodes(),
                  "delay vector size must equal node count");
     graph::LongestPathResult result = graph::longest_path(csr_, delays, start());
     LongestPath lp;
@@ -97,7 +126,7 @@ LongestPath Qodg::longest_path(const std::vector<double>& delays) const {
 }
 
 std::vector<NodeId> Qodg::critical_path(const LongestPath& lp) const {
-    LEQA_REQUIRE(lp.distance.size() == nodes_.size(),
+    LEQA_REQUIRE(lp.distance.size() == num_nodes(),
                  "longest-path result does not match this graph");
     return graph::extract_path(lp.distance, lp.predecessor, start(), end());
 }
@@ -115,7 +144,7 @@ namespace {
 /// candidates (a NaN delay lane) fail `>` both here and there, leaving
 /// the node unreachable (-1) in that lane only.
 template <std::size_t kLanes>
-void gather_lanes(const graph::CsrDigraph& rcsr, std::size_t num_nodes,
+void gather_lanes(const graph::CsrDigraph& preds, std::size_t num_nodes,
                   const std::uint16_t* delay_row, const double* delay_soa,
                   double* distance) {
     for (std::size_t lane = 0; lane < kLanes; ++lane) distance[lane] = 0.0;
@@ -124,7 +153,7 @@ void gather_lanes(const graph::CsrDigraph& rcsr, std::size_t num_nodes,
             delay_soa + static_cast<std::size_t>(delay_row[v]) * kLanes;
         double acc[kLanes];
         for (std::size_t lane = 0; lane < kLanes; ++lane) acc[lane] = -1.0;
-        for (const NodeId u : rcsr.successors(v)) {
+        for (const NodeId u : preds.successors(v)) {
             const double* du = distance + static_cast<std::size_t>(u) * kLanes;
             for (std::size_t lane = 0; lane < kLanes; ++lane) {
                 const double candidate = du[lane] + delay[lane];
@@ -144,7 +173,7 @@ void Qodg::longest_path_lanes(
     LongestPathLanes& out) const {
     const std::size_t lanes = tables.size();
     LEQA_REQUIRE(lanes >= 1, "longest_path_lanes needs at least one delay table");
-    const std::size_t n = nodes_.size();
+    const std::size_t n = num_nodes();
 
     out.lanes = lanes;
     // Every slot is written by the gather (start explicitly, the rest once
@@ -164,11 +193,11 @@ void Qodg::longest_path_lanes(
 
     switch (lanes) {
         case 8:
-            gather_lanes<8>(rcsr_, n, delay_row_.data(), out.delay_soa.data(),
+            gather_lanes<8>(preds_, n, delay_row_.data(), out.delay_soa.data(),
                             out.distance.data());
             break;
         case 4:
-            gather_lanes<4>(rcsr_, n, delay_row_.data(), out.delay_soa.data(),
+            gather_lanes<4>(preds_, n, delay_row_.data(), out.delay_soa.data(),
                             out.distance.data());
             break;
         default: {
@@ -180,7 +209,7 @@ void Qodg::longest_path_lanes(
                 const double* delay =
                     &out.delay_soa[static_cast<std::size_t>(delay_row_[v]) * lanes];
                 std::fill(acc.begin(), acc.end(), -1.0);
-                for (const NodeId u : rcsr_.successors(v)) {
+                for (const NodeId u : preds_.successors(v)) {
                     const double* du =
                         &out.distance[static_cast<std::size_t>(u) * lanes];
                     for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -201,7 +230,7 @@ void Qodg::longest_path_lanes(
 std::vector<NodeId> Qodg::critical_path_lane(const LongestPathLanes& lanes,
                                              std::size_t lane) const {
     const std::size_t width = lanes.lanes;
-    LEQA_REQUIRE(lanes.distance.size() == nodes_.size() * width,
+    LEQA_REQUIRE(lanes.distance.size() == num_nodes() * width,
                  "lane-blocked result does not match this graph");
     LEQA_REQUIRE(lane < width, "lane index out of range");
     LEQA_REQUIRE(lanes.at(end(), lane) >= 0.0, "sink unreachable from source");
@@ -214,7 +243,7 @@ std::vector<NodeId> Qodg::critical_path_lane(const LongestPathLanes& lanes,
             lanes.delay_soa[static_cast<std::size_t>(delay_row_[cursor]) * width +
                             lane];
         NodeId next = cursor;
-        for (const NodeId u : rcsr_.successors(cursor)) {
+        for (const NodeId u : preds_.successors(cursor)) {
             const double du = lanes.at(u, lane);
             if (du >= 0.0 && du + delay == target) {
                 next = u;
@@ -232,7 +261,7 @@ std::vector<NodeId> Qodg::critical_path_lane(const LongestPathLanes& lanes,
 void Qodg::critical_census_lanes(const LongestPathLanes& lanes,
                                  std::span<PathCensus> out) const {
     const std::size_t width = lanes.lanes;
-    LEQA_REQUIRE(lanes.distance.size() == nodes_.size() * width,
+    LEQA_REQUIRE(lanes.distance.size() == num_nodes() * width,
                  "lane-blocked result does not match this graph");
     LEQA_REQUIRE(out.size() <= width, "more censuses requested than lanes");
     const NodeId source = start();
@@ -243,7 +272,7 @@ void Qodg::critical_census_lanes(const LongestPathLanes& lanes,
     }
 
     constexpr std::size_t kRows = circuit::kGateKindCount + 1;
-    const std::size_t n = nodes_.size();
+    const std::size_t n = num_nodes();
     const double* dist = lanes.distance.data();
     const double* delays = lanes.delay_soa.data();
 
@@ -268,7 +297,7 @@ void Qodg::critical_census_lanes(const LongestPathLanes& lanes,
             if (m == 0) continue;
             const std::size_t row = delay_row_[v];
             ++mask_counts[(static_cast<std::size_t>(m) * kRows) + row];
-            const std::span<const NodeId> preds = rcsr_.successors(v);
+            const std::span<const NodeId> preds = preds_.successors(v);
             if (preds.size() == 1) {
                 // The only predecessor is the path predecessor in every
                 // marked lane; no distance reads needed.
@@ -325,16 +354,16 @@ void Qodg::critical_census_lanes(const LongestPathLanes& lanes,
 PathCensus Qodg::census(const std::vector<NodeId>& path) const {
     PathCensus census;
     for (const NodeId id : path) {
-        const Node& node = nodes_.at(id);
-        if (node.kind != NodeKind::Op) continue;
-        ++census.by_kind[static_cast<std::size_t>(node.gate_kind)];
+        check_node(id);
+        if (id == start() || id == end()) continue;
+        ++census.by_kind[delay_row_[id]];
         ++census.total_ops;
     }
     return census;
 }
 
 std::vector<double> Qodg::downstream_delay(const std::vector<double>& delays) const {
-    LEQA_REQUIRE(delays.size() == nodes_.size(),
+    LEQA_REQUIRE(delays.size() == num_nodes(),
                  "delay vector size must equal node count");
     return graph::downstream_delay(csr_, delays);
 }
@@ -344,8 +373,8 @@ Qodg::SlackAnalysis Qodg::slack_analysis(const std::vector<double>& delays) cons
     const std::vector<double> backward = downstream_delay(delays);
     SlackAnalysis analysis;
     analysis.critical_length = forward.length;
-    analysis.slack.resize(nodes_.size());
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
+    analysis.slack.resize(num_nodes());
+    for (NodeId u = 0; u < num_nodes(); ++u) {
         // Longest start->end path through u = (longest to u, inclusive) +
         // (longest from u, inclusive) - delay(u) counted twice.
         const double through = forward.distance[u] + backward[u] - delays[u];
@@ -358,8 +387,8 @@ Qodg::SlackAnalysis Qodg::slack_analysis(const std::vector<double>& delays) cons
 std::string Qodg::to_dot(const circuit::Circuit& circ) const {
     std::ostringstream out;
     out << "digraph qodg {\n  rankdir=LR;\n";
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        const Node& node = nodes_[id];
+    for (NodeId id = 0; id < num_nodes(); ++id) {
+        const Node node = this->node(id);
         out << "  n" << id << " [label=\"";
         switch (node.kind) {
             case NodeKind::Start: out << "start"; break;
@@ -373,7 +402,7 @@ std::string Qodg::to_dot(const circuit::Circuit& circ) const {
         if (node.kind != NodeKind::Op) out << ", shape=box";
         out << "];\n";
     }
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
+    for (NodeId u = 0; u < num_nodes(); ++u) {
         for (const NodeId v : csr_.successors(u)) {
             out << "  n" << u << " -> n" << v << ";\n";
         }

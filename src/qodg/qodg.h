@@ -11,7 +11,11 @@
 ///     in program order).
 ///
 /// The dependency structure itself lives in a shared `graph::CsrDigraph`
-/// (see graph/csr.h); this class adds the circuit-facing node metadata and
+/// (see graph/csr.h), built in one append pass: each gate's deduplicated,
+/// ascending last-writer predecessors go straight into a predecessor CSR,
+/// and the successor CSR is its counting transpose.  Nodes carry no
+/// records: gate index is id - 1 and the kind is the node's delay row.
+/// This class adds the circuit-facing node view and
 /// the weighted-longest-path machinery LEQA's Algorithm 1 (lines 19-20) and
 /// the QSPR scheduler both build on: given a per-node delay vector, compute
 /// the critical path, its length, and the per-gate-kind operation census
@@ -34,8 +38,8 @@ using NodeId = graph::NodeId;
 
 enum class NodeKind : std::uint8_t { Start, Op, End };
 
-/// One QODG node.  For `Op` nodes, `gate_index` refers into the source
-/// circuit's gate list.
+/// One QODG node, as returned by Qodg::node().  For `Op` nodes,
+/// `gate_index` refers into the source circuit's gate list.
 struct Node {
     NodeKind kind = NodeKind::Op;
     std::size_t gate_index = 0;
@@ -84,23 +88,25 @@ public:
     /// last-writer chain per qubit; parallel edges are merged.
     explicit Qodg(const circuit::Circuit& circ);
 
-    [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
+    [[nodiscard]] std::size_t num_nodes() const { return delay_row_.size(); }
     [[nodiscard]] std::size_t num_edges() const { return csr_.num_edges(); }
-    [[nodiscard]] std::size_t num_ops() const { return nodes_.size() - 2; }
+    [[nodiscard]] std::size_t num_ops() const { return delay_row_.size() - 2; }
     [[nodiscard]] NodeId start() const { return 0; }
-    [[nodiscard]] NodeId end() const { return static_cast<NodeId>(nodes_.size() - 1); }
-    [[nodiscard]] const Node& node(NodeId id) const { return nodes_.at(id); }
+    [[nodiscard]] NodeId end() const { return static_cast<NodeId>(delay_row_.size() - 1); }
+    /// The node's kind, gate index and gate kind, derived from its id.
+    /// Throws InputError when \p id is out of range.
+    [[nodiscard]] Node node(NodeId id) const;
     [[nodiscard]] std::span<const NodeId> successors(NodeId id) const {
-        (void)nodes_.at(id); // bounds check; CSR indexing below is unchecked
+        check_node(id); // CSR indexing below is unchecked
         return csr_.successors(id);
     }
-    /// Predecessors of a node, ascending by id (the reverse-CSR adjacency
-    /// built at construction).  Gathering them in this order reproduces the
+    /// Predecessors of a node, ascending by id (the predecessor CSR the
+    /// build writes first).  Gathering them in this order reproduces the
     /// relax order of the push-based longest-path sweep bit for bit — the
     /// contract core::PlacedTimer's incremental re-timing relies on.
     [[nodiscard]] std::span<const NodeId> predecessors(NodeId id) const {
-        (void)nodes_.at(id);
-        return rcsr_.successors(id);
+        check_node(id);
+        return preds_.successors(id);
     }
     /// The raw dependency structure (node ids are a topological order).
     [[nodiscard]] const graph::CsrDigraph& csr() const { return csr_; }
@@ -130,7 +136,7 @@ public:
     /// Lane-blocked longest path: relax `tables.size()` per-gate-kind delay
     /// tables (one per parameter point) through a SINGLE pass over the
     /// edges.  The sweep is pull-based — for each node in topological
-    /// order, gather the max over its predecessors (reverse CSR built at
+    /// order, gather the max over its predecessors (predecessor CSR built at
     /// construction) into lane accumulators that live in registers — so
     /// the inner loop is a pure double add/compare/select over contiguous
     /// lanes with one store per node, and no distance re-initialization
@@ -190,12 +196,15 @@ public:
     [[nodiscard]] std::string to_dot(const circuit::Circuit& circ) const;
 
 private:
-    std::vector<Node> nodes_;
+    void check_node(NodeId id) const;
+
+    /// Predecessor CSR: successors(v) are v's predecessors, ascending.
+    graph::CsrDigraph preds_;
+    /// Successor CSR, the transpose of preds_ (ids are a topological order).
     graph::CsrDigraph csr_;
-    /// Edge-reversed csr_: successors(v) are v's predecessors, ascending.
-    graph::CsrDigraph rcsr_;
     /// Per-node row into a kind-major delay table: the gate kind for Op
-    /// nodes, the trailing zero row (kGateKindCount) for start/end.
+    /// nodes, the trailing zero row (kGateKindCount) for start/end.  Its
+    /// size is the node count.
     std::vector<std::uint16_t> delay_row_;
 };
 

@@ -6,10 +6,6 @@
 
 namespace leqa::util {
 
-namespace {
-bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
-} // namespace
-
 std::string trim(std::string_view text) { return std::string(trim_view(text)); }
 
 std::string_view trim_view(std::string_view text) {

@@ -9,6 +9,13 @@
 
 namespace leqa::util {
 
+/// ASCII whitespace: exactly the characters std::isspace accepts in the
+/// "C" locale (space, \t, \n, \v, \f, \r), without the locale lookup.
+/// The one whitespace classifier of the parsers and the helpers below.
+[[nodiscard]] constexpr bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /// Remove leading and trailing ASCII whitespace.
 [[nodiscard]] std::string trim(std::string_view text);
 

@@ -3,6 +3,9 @@
 // paper suite table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "benchgen/adders.h"
 #include "benchgen/gf2_mult.h"
 #include "benchgen/suite.h"
@@ -90,6 +93,66 @@ TEST(Gf2Poly, MiddleTermsCacheAndForms) {
     EXPECT_EQ(penta.size(), 3u);
     // Cached second call must agree.
     EXPECT_EQ(lm::irreducible_middle_terms(20, true), penta);
+}
+
+namespace {
+
+/// The search irreducible_middle_terms() was tabulated from.
+std::vector<int> searched_middle_terms(int n, bool force_pentanomial) {
+    if (!force_pentanomial) {
+        if (const auto t = lm::find_irreducible_trinomial(n)) return {*t};
+    }
+    return *lm::find_irreducible_pentanomial(n);
+}
+
+lm::Gf2Poly with_middle_terms(int n, const std::vector<int>& terms) {
+    std::vector<int> exponents{n};
+    exponents.insert(exponents.end(), terms.begin(), terms.end());
+    exponents.push_back(0);
+    return lm::Gf2Poly::from_exponents(exponents);
+}
+
+} // namespace
+
+TEST(Gf2Poly, TabulatedMiddleTermsAreIrreducibleForEveryDegree) {
+    for (int n = 2; n <= 256; ++n) {
+        for (const bool penta : {false, true}) {
+            if (penta && n < 4) continue; // no pentanomial below degree 4
+            const auto terms = lm::irreducible_middle_terms(n, penta);
+            ASSERT_TRUE(terms.size() == 1 || terms.size() == 3) << n;
+            if (penta) {
+                ASSERT_EQ(terms.size(), 3u) << n;
+            }
+            ASSERT_TRUE(std::is_sorted(terms.rbegin(), terms.rend())) << n;
+            ASSERT_TRUE(terms.front() < n && terms.back() >= 1) << n;
+            EXPECT_TRUE(lm::is_irreducible(with_middle_terms(n, terms)))
+                << "degree " << n << (penta ? " pentanomial" : " auto");
+        }
+    }
+    // Below degree 4 a forced pentanomial is still an error.
+    EXPECT_THROW((void)lm::irreducible_middle_terms(3, true), leqa::util::InputError);
+}
+
+TEST(Gf2Poly, TabulatedMiddleTermsMatchTheSearch) {
+    std::vector<int> degrees;
+    for (int n = 4; n <= 64; ++n) degrees.push_back(n);
+    for (const auto& entry : lb::paper_suite()) {
+        if (entry.kind == lb::BenchmarkKind::Gf2Mult) degrees.push_back(entry.size_parameter);
+    }
+    for (const int n : degrees) {
+        for (const bool penta : {false, true}) {
+            EXPECT_EQ(lm::irreducible_middle_terms(n, penta), searched_middle_terms(n, penta))
+                << "degree " << n << (penta ? " pentanomial" : " auto");
+        }
+    }
+    EXPECT_EQ(lm::irreducible_middle_terms(2, false), searched_middle_terms(2, false));
+    EXPECT_EQ(lm::irreducible_middle_terms(3, false), searched_middle_terms(3, false));
+}
+
+TEST(Gf2Poly, DegreesPastTheTableStillSearch) {
+    const auto terms = lm::irreducible_middle_terms(257, false);
+    EXPECT_EQ(terms, searched_middle_terms(257, false));
+    EXPECT_TRUE(lm::is_irreducible(with_middle_terms(257, terms)));
 }
 
 // --------------------------------------------------------------- gf2 mult --

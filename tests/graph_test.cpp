@@ -70,6 +70,35 @@ TEST(Csr, TopologicalFlagTracksEdgeDirections) {
     EXPECT_THROW((void)lg::downstream_delay(g, delays), leqa::util::InputError);
 }
 
+TEST(Csr, ReversedTransposesAndFlipsTheTopologicalFlag) {
+    lg::CsrBuilder builder(4);
+    builder.add_edge(0, 2);
+    builder.add_edge(1, 2);
+    builder.add_edge(0, 3);
+    builder.add_edge(2, 3);
+    const lg::CsrDigraph forward = builder.build();
+    const lg::CsrDigraph preds = forward.reversed();
+    EXPECT_FALSE(preds.topologically_ordered());
+    EXPECT_EQ(std::vector<lg::NodeId>(preds.successors(3).begin(),
+                                      preds.successors(3).end()),
+              (std::vector<lg::NodeId>{0, 2}));
+    EXPECT_TRUE(lg::validate_csr(preds.offsets(), preds.targets(), false).empty());
+
+    // A predecessor graph (every edge high -> low) transposes back into the
+    // forward DAG, flagged topological.
+    const lg::CsrDigraph back = preds.reversed();
+    EXPECT_TRUE(back.topologically_ordered());
+    EXPECT_TRUE(std::equal(back.offsets().begin(), back.offsets().end(),
+                           forward.offsets().begin(), forward.offsets().end()));
+    EXPECT_TRUE(std::equal(back.targets().begin(), back.targets().end(),
+                           forward.targets().begin(), forward.targets().end()));
+
+    // Adopted arrays keep the flag they are given.
+    const lg::CsrDigraph adopted({0, 0, 1}, {0}, /*topological=*/false);
+    EXPECT_EQ(adopted.num_edges(), 1u);
+    EXPECT_TRUE(adopted.reversed().topologically_ordered());
+}
+
 TEST(Csr, InDegrees) {
     lg::CsrBuilder builder(4);
     builder.add_edge(0, 1);
@@ -113,10 +142,22 @@ TEST(Csr, UnreachableNodesKeepNegativeDistance) {
     EXPECT_THROW((void)lg::extract_path(lp, 0, 2), leqa::util::InputError);
 }
 
+namespace {
+
+/// Build from a pair list, the way callers stream pairs from their data.
+lg::WeightedUndigraph from_pair_list(
+    std::size_t num_nodes, const std::vector<std::pair<lg::NodeId, lg::NodeId>>& pairs) {
+    return lg::WeightedUndigraph::from_pairs(num_nodes, [&](auto&& emit) {
+        for (const auto& [a, b] : pairs) emit(a, b);
+    });
+}
+
+} // namespace
+
 TEST(WeightedUndigraph, AccumulatesPairsEitherOrientation) {
     const std::vector<std::pair<lg::NodeId, lg::NodeId>> pairs{
         {0, 1}, {1, 0}, {2, 0}, {3, 2}};
-    const auto g = lg::WeightedUndigraph::from_pairs(4, pairs);
+    const auto g = from_pair_list(4, pairs);
     EXPECT_EQ(g.num_edges(), 3u);
     EXPECT_EQ(g.weight_between(0, 1), 2u);
     EXPECT_EQ(g.weight_between(1, 0), 2u);
@@ -126,24 +167,25 @@ TEST(WeightedUndigraph, AccumulatesPairsEitherOrientation) {
     EXPECT_EQ(g.adjacent_weight(0), 3u);
 }
 
-TEST(WeightedUndigraph, NeighborsSortedAndAlignedWithWeights) {
+TEST(WeightedUndigraph, DegreesAndWeightLookupsAgreeWithTheEdgeList) {
     const std::vector<std::pair<lg::NodeId, lg::NodeId>> pairs{
         {5, 2}, {2, 0}, {2, 7}, {2, 7}, {2, 1}};
-    const auto g = lg::WeightedUndigraph::from_pairs(8, pairs);
-    const auto hood = g.neighbors(2);
-    ASSERT_EQ(hood.size(), 4u);
-    EXPECT_TRUE(std::is_sorted(hood.begin(), hood.end()));
-    const auto weights = g.neighbor_weights(2);
-    for (std::size_t k = 0; k < hood.size(); ++k) {
-        EXPECT_EQ(weights[k], g.weight_between(2, hood[k]));
+    const auto g = from_pair_list(8, pairs);
+    EXPECT_EQ(g.degree(2), 4u);
+    EXPECT_EQ(g.adjacent_weight(2), 5u);
+    for (const auto& e : g.edges()) {
+        EXPECT_EQ(g.weight_between(e.i, e.j), e.weight);
+        EXPECT_EQ(g.weight_between(e.j, e.i), e.weight);
     }
     EXPECT_EQ(g.weight_between(2, 7), 2u);
+    EXPECT_EQ(g.weight_between(0, 1), 0u);
+    EXPECT_EQ(g.weight_between(6, 7), 0u);
 }
 
 TEST(WeightedUndigraph, EdgesSortedUnique) {
     const std::vector<std::pair<lg::NodeId, lg::NodeId>> pairs{
         {3, 1}, {1, 3}, {0, 2}, {1, 2}};
-    const auto g = lg::WeightedUndigraph::from_pairs(4, pairs);
+    const auto g = from_pair_list(4, pairs);
     const auto& edges = g.edges();
     ASSERT_EQ(edges.size(), 3u);
     for (std::size_t k = 0; k + 1 < edges.size(); ++k) {
@@ -151,6 +193,14 @@ TEST(WeightedUndigraph, EdgesSortedUnique) {
                     (edges[k].i == edges[k + 1].i && edges[k].j < edges[k + 1].j));
     }
     for (const auto& e : edges) EXPECT_LT(e.i, e.j);
+}
+
+TEST(WeightedUndigraph, RejectsSelfLoopsAndOutOfRangeEndpoints) {
+    EXPECT_THROW((void)from_pair_list(3, {{1, 1}}), leqa::util::InputError);
+    EXPECT_THROW((void)from_pair_list(3, {{0, 3}}), leqa::util::InputError);
+    const auto empty = from_pair_list(0, {});
+    EXPECT_EQ(empty.num_nodes(), 0u);
+    EXPECT_EQ(empty.num_edges(), 0u);
 }
 
 // ---------------------------------------------------------------- parity --
