@@ -5,6 +5,7 @@
 
 #include "qspr/placement.h"
 #include "util/error.h"
+#include "util/heap.h"
 #include "util/stopwatch.h"
 
 namespace leqa::pipeline {
@@ -67,6 +68,9 @@ const core::CircuitProfile& CachedCircuit::profile() const {
 // ------------------------------------------------------------ Pipeline --
 
 Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
+    // Estimates free their front-end arrays when the session or its cache
+    // lets go of them; keep those pages for the next estimate.
+    util::retain_freed_heap();
     config_.params.validate();
     LEQA_REQUIRE(config_.max_cached_circuits >= 1,
                  "pipeline cache must hold at least one circuit");

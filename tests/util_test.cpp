@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <set>
+
+#if defined(__GLIBC__)
+#include <sys/resource.h>
+#endif
 
 #include "util/args.h"
 #include "util/env.h"
 #include "util/error.h"
+#include "util/heap.h"
 #include "util/json.h"
 #include "util/json_value.h"
 #include "util/logging.h"
@@ -454,4 +460,55 @@ TEST(Error, RequireMacrosThrowProperTypes) {
     EXPECT_NO_THROW(LEQA_REQUIRE(true, "ok"));
     EXPECT_EQ(lu::prefixed("ctx", "detail"), "ctx: detail");
     EXPECT_EQ(lu::prefixed("", "detail"), "detail");
+}
+
+// ------------------------------------------------------------------- heap --
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define LEQA_TEST_OWN_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define LEQA_TEST_OWN_HEAP 1
+#endif
+#endif
+
+#if defined(__GLIBC__) && !defined(LEQA_TEST_OWN_HEAP)
+namespace {
+/// The test block escapes through this pointer, so neither the allocation
+/// nor the stores into it can be optimized away.
+char* volatile g_heap_block = nullptr;
+} // namespace
+#endif
+
+TEST(Heap, RetainedFreedHeapIsReusedWithoutPageFaults) {
+#if !defined(__GLIBC__) || defined(LEQA_TEST_OWN_HEAP)
+    GTEST_SKIP() << "the heap policy applies to glibc's own allocator only";
+#else
+    ASSERT_TRUE(lu::retain_freed_heap());
+    ASSERT_TRUE(lu::retain_freed_heap()); // idempotent
+    const auto minor_faults = [] {
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
+        return usage.ru_minflt;
+    };
+    // 16 MiB, like the front-end arrays of a large cold estimate.  Under
+    // glibc's self-tuning thresholds the first block is unmapped when
+    // freed and the second comes from freshly grown heap, so its touch
+    // faults in all 4096 pages again.
+    constexpr std::size_t kBytes = std::size_t{16} << 20;
+    constexpr std::size_t kPage = 4096;
+    const auto touch_and_free = [&] {
+        g_heap_block = new char[kBytes];
+        std::memset(g_heap_block, 1, kBytes);
+        std::size_t touched = 0;
+        for (std::size_t i = 0; i < kBytes; i += kPage) touched += g_heap_block[i];
+        delete[] g_heap_block;
+        EXPECT_EQ(touched, kBytes / kPage);
+    };
+    touch_and_free();
+    const long before = minor_faults();
+    touch_and_free();
+    EXPECT_LT(minor_faults() - before, 64);
+#endif
 }
